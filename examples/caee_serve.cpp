@@ -1,63 +1,29 @@
 // caee_serve: the ONLINE half of the train/serve split (paper Sec. 4.2.7).
 //
 // Loads an artifact written by caee_train in a fresh process — no access to
-// the training data or code path — and serves it in one of two modes
-// (docs/serving.md has the full story):
-//
-// SINGLE-STREAM (default): each CSV line is one observation, each warm
-// observation gets a score and a threshold verdict on stdout.
+// the training data or code path — and scores observations as they arrive:
 //
 //   caee_train --synthetic SMD --output model.caee --dump-input train.csv
-//   caee_serve --model model.caee --input train.csv
-//   tail -f live.csv | caee_serve --model model.caee
+//   caee_serve --model model.caee --input train.csv      # one stream
+//   caee_serve --model model.caee --streams [--binary]   # many streams
 //
-// With --expect-scores FILE (the batch scores caee_train dumped), the tool
-// verifies that the streaming path reproduces the offline scores for every
-// post-warm-up observation and exits non-zero on any mismatch — the
-// round-trip check CI runs.
+// Every mode runs ONE request loop over serve::ServingEngine. A codec turns
+// the input into request frames — CSV observations of stream 0 by default,
+// the text line protocol with --streams, the binary framing of
+// docs/protocol.md with --binary — serve::Dispatcher (src/serve/
+// dispatcher.h) makes the engine call each request maps to, and the codec
+// writes the scores and replies back. Single-stream mode is the engine
+// serving one stream with batch size 1 and no deadline, so every window
+// scores as its observation arrives; --expect-scores checks those scores
+// against caee_train's offline batch scores (the round-trip CI runs).
 //
-// MULTI-STREAM (--streams): one process serves N independent series against
-// the same loaded ensemble, sharded across --shards independent engine
-// shards (stream id -> shard by hash; see docs/serving.md), scoring ready
-// windows from different streams in one batched forward pass per shard
-// (serve::ServingEngine). Text input lines:
-//
-//   open,<id>            open a session for stream <id>
-//   <id>,v1,v2,...       one observation for stream <id>
-//   close,<id>           close the session (its shard's pending windows
-//                        are flushed)
-//
-// Output lines are `stream,index,score,flag`. --max-batch bounds each
-// shard's micro-batch; --flush-ms bounds how long a ready window may wait
-// when input trickles (a background timer flushes expired batches, so a
-// stalled stdin cannot hold scores hostage). Scores are bitwise identical
-// to serving each stream in its own single-stream process, at ANY shard
-// count.
-//
-// BINARY PROTOCOL (--streams --binary): same session semantics over the
-// length-prefixed CRC-checked framing of docs/protocol.md — requests in on
-// stdin, response frames (score/ok/error/backpressure) out on stdout.
-// --max-pending arms per-shard admission control: a push to a full shard
-// is answered with a backpressure frame and consumes nothing. The
-// --encode-frames / --decode-frames translator modes (no --model needed)
-// convert the text protocol to request frames and response frames back to
-// text — `caee_serve --encode-frames | caee_serve --streams --binary |
-// caee_serve --decode-frames` is byte-identical to the text pipeline, the
-// equivalence CI smoke-checks.
-//
-// OPERATIONS (docs/operations.md): in multi-stream modes a
-// `reload,<path>` line (or a reload frame in binary mode) hot-swaps the
-// serving artifact with zero downtime — open sessions keep scoring, a
-// rejected candidate leaves the old generation serving. --drift-threshold
-// arms the drift -> repair escalation: when the SPOT exceed-rate drifts
-// past it, an advisory naming caee_repair lands on stderr. --health arms
-// unsupervised model-health validation against the artifact's calibration
-// reference: reload candidates are canary-judged on retained live windows
-// before any shard switches, and a model-degradation verdict during the
-// post-swap probation rolls back to the last-known-good generation
-// automatically. SIGTERM/SIGINT stop intake, drain every shard, and exit
-// 0 — scores already owed are delivered, not dropped.
+// --encode-frames / --decode-frames run the text codec's two halves alone:
+// `caee_serve --encode-frames | caee_serve --streams --binary | caee_serve
+// --decode-frames` prints exactly what the text server prints. Sharding,
+// batching, backpressure, hot-swap reloads, drift and health monitoring and
+// the graceful SIGTERM drain are in docs/serving.md and docs/operations.md.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -67,20 +33,22 @@
 #include <iostream>
 #include <limits>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cli_util.h"
 #include "core/persistence.h"
-#include "core/streaming.h"
+#include "serve/dispatcher.h"
 #include "serve/framing.h"
 #include "serve/serving_engine.h"
+#include "serve/text_protocol.h"
 
 using namespace caee;
 
 namespace {
+
+namespace fr = serve::framing;
 
 const char kUsage[] =
     "usage: caee_serve --model model.caee [--input obs.csv] [--threads T]\n"
@@ -108,11 +76,10 @@ const char kUsage[] =
     "  admin line `reload,<path>` (hot-swap the serving artifact with zero\n"
     "  downtime; a rejected candidate keeps the old one serving —\n"
     "  docs/operations.md); output is `stream,index,score,flag`. Sessions\n"
-    "  are sharded across\n"
-    "  --shards\n"
-    "  (default 1) independent engine shards; ready windows from different\n"
-    "  streams of a shard are scored in one batched forward pass\n"
-    "  (<= --max-batch windows, default 8); --flush-ms (default 50,\n"
+    "  are sharded across --shards (default 1) independent engine\n"
+    "  shards; ready windows from different streams of a shard are\n"
+    "  scored in one batched forward pass (<= --max-batch windows,\n"
+    "  default 8); --flush-ms (default 50,\n"
     "  0 = off) bounds the wait of a partially filled batch.\n"
     "  --binary swaps the text protocol for the length-prefixed binary\n"
     "  framing of docs/protocol.md (request frames in, response frames\n"
@@ -145,17 +112,11 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// ---------------------------------------------------------------------------
-// Graceful shutdown (docs/operations.md).
-//
-// SIGTERM/SIGINT set a flag; every read loop checks it and treats it as
-// end-of-input, which funnels into the normal drain path: every shard's
-// pending windows are scored and delivered, the deadline flusher is
-// joined, the summary prints, and the process exits 0. The handler is
-// installed WITHOUT SA_RESTART on purpose — a getline/ReadFrame blocked
-// on a quiet stdin must come back with EINTR (reads as EOF) instead of
-// being transparently restarted, or intake would never stop.
-// ---------------------------------------------------------------------------
+// Graceful shutdown (docs/operations.md): SIGTERM/SIGINT set a flag the
+// request loop treats as end of input, so the normal drain and summary
+// run and the process exits 0. The handler is installed WITHOUT
+// SA_RESTART on purpose — a read blocked on a quiet stdin must come back
+// with EINTR (reads as EOF), or intake would never stop.
 
 volatile std::sig_atomic_t g_shutdown = 0;
 
@@ -176,106 +137,53 @@ void InstallShutdownHandler() {
 #endif
 }
 
-bool ParseObservation(const std::string& line, std::vector<float>* out) {
-  out->clear();
-  std::stringstream ss(line);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) {
-    try {
-      size_t consumed = 0;
-      const float value = std::stof(cell, &consumed);
-      if (consumed != cell.size()) return false;  // "1.2.3" etc.
-      out->push_back(value);
-    } catch (...) {
-      return false;
-    }
-  }
-  return true;
+// Flags only multi-stream serving takes.
+bool HasStreamsFlag(const cli::Args& args) {
+  return args.Has("max-batch") || args.Has("flush-ms") || args.Has("shards") ||
+         args.Has("max-pending") || args.Has("binary") ||
+         args.Has("drift-threshold") || args.Has("drift-clear") ||
+         args.Has("health") || args.Has("health-shift") ||
+         args.Has("health-dispersion") || args.Has("health-nonfinite") ||
+         args.Has("health-alert") || args.Has("probation");
 }
 
-// ---------------------------------------------------------------------------
-// Single-stream mode (the PR-2 behavior, unchanged).
-// ---------------------------------------------------------------------------
+// Prefix a codec error with where it happened: `line 12: ...`.
+Status At(const char* unit, int64_t n, const Status& status) {
+  return Status(status.code(), std::string(unit) + " " + std::to_string(n) +
+                                   ": " + status.message());
+}
 
-int RunSingleStream(const cli::Args& args, core::CaeEnsemble& ensemble,
-                    double threshold, core::ThresholdPolicy policy,
-                    const std::optional<core::SpotInit>& spot,
-                    std::istream& in) {
-  std::vector<double> expected;
-  if (args.Has("expect-scores")) {
-    std::ifstream scores_in(args.Get("expect-scores", ""));
-    if (!scores_in) {
-      return Fail(Status::IOError("cannot open expected-scores file"));
-    }
-    double value = 0.0;
-    while (scores_in >> value) expected.push_back(value);
-    if (expected.empty()) {
-      return Fail(Status::InvalidArgument(
-          "expected-scores file has no scores — nothing would be verified"));
-    }
-  }
-  const double tolerance = args.GetDouble("tolerance", 0.0);
-
-  core::StreamingScorer scorer(&ensemble);
-  // The single-stream SPOT path is the same owning state the serve tests
-  // use as the sequential reference for the sharded engine.
-  std::optional<core::SpotState> spot_state;
-  if (policy == core::ThresholdPolicy::kSpot) spot_state.emplace(*spot);
-  std::string line;
-  std::vector<float> observation;
-  int64_t index = -1, scored = 0, alerts = 0, mismatches = 0;
-  int64_t non_finite = 0;
+// --expect-scores: the offline batch scores single-stream output must
+// reproduce.
+struct ExpectedScores {
+  std::vector<double> scores;
+  double tolerance = 0.0;
+  int64_t window = 0;  // the model's w: the first w-1 scores are not served
+  int64_t mismatches = 0;
   double worst_diff = 0.0;
-  while (!g_shutdown && std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++index;
-    if (!ParseObservation(line, &observation)) {
-      return Fail(Status::InvalidArgument("non-numeric observation at line " +
-                                          std::to_string(index + 1)));
+
+  Status Check(const serve::StreamScore& s) {
+    // Batch scores cover every observation, but the first w-1 are scored
+    // from the first window only in the batch policy (Fig. 10) and are
+    // unavailable while streaming warms up — so compare from w-1 onward.
+    if (s.index >= static_cast<int64_t>(scores.size())) {
+      return Status::InvalidArgument(
+          "more observations than expected scores");
     }
-    auto result = scorer.Push(observation);
-    if (!result.ok()) return Fail(result.status());
-    if (!result->has_value()) continue;  // warming up
-    const double score = result->value();
-    // ThresholdExceeded, not `score > threshold`: a NaN score must flag
-    // (with no calibrated threshold the static policy otherwise never
-    // flags — threshold is +inf — but a non-finite score still must).
-    const bool flag = spot_state.has_value()
-                          ? spot_state->Observe(score)
-                          : core::ThresholdExceeded(score, threshold);
-    non_finite += !std::isfinite(score);
-    ++scored;
-    alerts += flag;
-    std::cout << index << "," << score << "," << (flag ? 1 : 0) << "\n";
-    if (!expected.empty()) {
-      // Batch scores cover every observation, but the first w-1 are scored
-      // from the first window only in the batch policy (Fig. 10) and are
-      // unavailable while streaming warms up — so compare from w-1 onward.
-      if (index >= static_cast<int64_t>(expected.size())) {
-        return Fail(Status::InvalidArgument(
-            "more observations than expected scores"));
-      }
-      const double diff =
-          std::fabs(score - expected[static_cast<size_t>(index)]);
-      if (!(diff <= tolerance)) {
-        ++mismatches;
-        worst_diff = std::max(worst_diff, diff);
-        if (mismatches <= 5) {
-          std::cerr << "MISMATCH at " << index << ": streaming " << score
-                    << " vs batch " << expected[static_cast<size_t>(index)]
-                    << "\n";
-        }
+    const double want = scores[static_cast<size_t>(s.index)];
+    const double diff = std::fabs(s.score - want);
+    if (!(diff <= tolerance)) {
+      ++mismatches;
+      worst_diff = std::max(worst_diff, diff);
+      if (mismatches <= 5) {
+        std::cerr << "MISMATCH at " << s.index << ": streaming " << s.score
+                  << " vs batch " << want << "\n";
       }
     }
+    return Status::OK();
   }
 
-  if (g_shutdown) {
-    std::cerr << "caee_serve: caught shutdown signal, stopping intake\n";
-  }
-  std::cerr << "scored " << scored << " observations, " << alerts
-            << " flagged, " << non_finite << " non-finite scores ("
-            << core::ThresholdPolicyName(policy) << " policy)\n";
-  if (!expected.empty()) {
+  int Verdict(int64_t scored) const {
     if (mismatches > 0) {
       std::cerr << mismatches << " streaming/batch mismatches (worst |diff| "
                 << worst_diff << ")\n";
@@ -284,9 +192,8 @@ int RunSingleStream(const cli::Args& args, core::CaeEnsemble& ensemble,
     // Guard against a vacuous pass: every expected score past warm-up must
     // actually have been compared (a truncated --input would otherwise
     // report success after verifying only a prefix).
-    const int64_t w = ensemble.config().window;
     const int64_t verifiable =
-        static_cast<int64_t>(expected.size()) - (w - 1);
+        static_cast<int64_t>(scores.size()) - (window - 1);
     if (scored == 0 || scored < verifiable) {
       std::cerr << "only " << scored << " of " << verifiable
                 << " expected post-warm-up scores were verified (input or "
@@ -295,60 +202,254 @@ int RunSingleStream(const cli::Args& args, core::CaeEnsemble& ensemble,
     }
     std::cerr << "streaming scores reproduce the offline batch scores ("
               << scored << " observations, tolerance " << tolerance << ")\n";
+    return 0;
   }
-  return 0;
+};
+
+// The wire codec of one serving mode: it reads requests as frames and
+// writes what serve::Dispatcher hands back.
+//   kBinary        frames both ways (docs/protocol.md). Rejections are
+//                  answered; a read error is fatal, because a byte stream
+//                  cannot resync past corruption.
+//   kText          request lines (serve/text_protocol.h), score lines out.
+//   kSingleStream  observation lines of stream 0, `index,score,flag` out,
+//                  checked against --expect-scores if given.
+// The line modes cannot answer a rejection, so a tenant error ends the run
+// with its line number — except a rejected reload, reported on stderr
+// while the old generation keeps serving. Acks print nothing.
+class Codec : public serve::ResponseSink {
+ public:
+  enum class Mode { kBinary, kText, kSingleStream };
+
+  Codec(Mode mode, std::istream& in, ExpectedScores* expected)
+      : mode_(mode), in_(in), expected_(expected) {}
+  // The deadline flusher thread holds its address.
+  Codec(const Codec&) = delete;
+  Codec& operator=(const Codec&) = delete;
+
+  /// \brief Read the next request; *eof at the end of input.
+  Status Read(fr::Frame* request, bool* eof) {
+    *eof = false;
+    if (mode_ == Mode::kBinary) {
+      const Status status = fr::ReadFrame(in_, request, eof);
+      if (!status.ok()) return At("frame", count_, status);
+      count_ += !*eof;
+      return Status::OK();
+    }
+    std::string line;
+    while (std::getline(in_, line)) {
+      ++count_;
+      if (line.empty()) continue;
+      const Status status =
+          mode_ == Mode::kText ? serve::text::ParseRequest(line, request)
+                               : serve::text::ParseObserve(line, 0, request);
+      if (!status.ok()) return At("line", count_, status);
+      request_type_ = request->frame_type();
+      return Status::OK();
+    }
+    *eof = true;
+    return Status::OK();
+  }
+
+  // Scores come from the request loop AND the deadline flusher: one lock
+  // keeps output from interleaving and makes this the summary's one tally
+  // point. Output is flushed after a batch of scores, never after a reply.
+  void Scores(const std::vector<serve::StreamScore>& scores) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& s : scores) {
+      ++scored_;
+      alerts_ += s.flag;
+      if (mode_ == Mode::kBinary) {
+        fr::WriteFrame(std::cout, fr::MakeScoreFrame(s));
+      } else if (mode_ == Mode::kText) {
+        serve::text::WriteScore(std::cout, s);
+      } else {
+        std::cout << s.index << "," << s.score << "," << (s.flag ? 1 : 0)
+                  << "\n";
+        if (expected_ != nullptr) SetFatal(expected_->Check(s));
+      }
+    }
+    std::cout.flush();
+  }
+
+  void Reply(const fr::Frame& reply, const Status& status) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    backpressured_ += reply.frame_type() == fr::FrameType::kBackpressure;
+    if (mode_ == Mode::kBinary) {
+      fr::WriteFrame(std::cout, reply);
+    } else if (status.ok()) {
+      // An ok prints nothing; a health status the line --decode-frames
+      // prints.
+      serve::text::WriteResponse(reply, std::cout, std::cerr);
+    } else if (request_type_ == fr::FrameType::kReload) {
+      std::cerr << "caee_serve: " << status << "\n";
+    } else {
+      SetFatal(At("line", count_, status));
+    }
+  }
+
+  void Reloaded(int64_t generation, const std::string& path) override {
+    std::cerr << "reloaded: now serving generation " << generation
+              << " from " << path << "\n";
+  }
+
+  /// \brief The first error that ends the run, or OK: a tenant error
+  /// under the line modes' policy, a failed --expect-scores check, or a
+  /// failed deadline flush.
+  Status fatal() {
+    std::lock_guard<std::mutex> lock(fatal_mu_);
+    return fatal_;
+  }
+  void SetFatal(const Status& status) {
+    std::lock_guard<std::mutex> lock(fatal_mu_);
+    if (fatal_.ok()) fatal_ = status;
+  }
+
+  // End-of-run summary on stderr, once every writer is joined. Returns the
+  // exit code, which only a failed --expect-scores check makes non-zero.
+  int Summarize(const serve::ServingEngine& engine) const {
+    const serve::EngineStats stats = engine.Stats();
+    if (mode_ == Mode::kSingleStream) {
+      std::cerr << "scored " << scored_ << " observations, " << alerts_
+                << " flagged, " << stats.non_finite_scores
+                << " non-finite scores ("
+                << core::ThresholdPolicyName(
+                       engine.config().threshold_policy)
+                << " policy)\n";
+      return expected_ != nullptr ? expected_->Verdict(scored_) : 0;
+    }
+    std::cerr << "scored " << scored_ << " windows across streams, "
+              << alerts_ << " flagged, " << stats.non_finite_scores
+              << " non-finite scores, " << backpressured_
+              << " pushes backpressured (" << engine.num_streams()
+              << " sessions still open at EOF, " << engine.num_shards()
+              << " shards)\n";
+    if (stats.reloads + stats.failed_reloads > 0) {
+      std::cerr << "generation " << stats.generation << " live after "
+                << stats.reloads << " reload(s), " << stats.failed_reloads
+                << " rejected\n";
+    }
+    if (engine.spot() != nullptr) {
+      std::cerr << "drift: |exceed-rate shift| " << stats.drift << " over "
+                << stats.drift_window << " recent scores vs the calibration "
+                << "baseline (docs/thresholds.md)\n";
+    }
+    if (engine.config().health.enabled) {
+      std::cerr << "health: " << stats.canary_rejections
+                << " canary rejection(s), " << stats.rollbacks
+                << " rollback(s), gauges over " << stats.health_window
+                << " recent scores: score-shift " << stats.score_shift
+                << ", dispersion-ratio " << stats.dispersion_ratio
+                << ", non-finite-rate " << stats.non_finite_rate
+                << ", alert-rate " << stats.alert_rate
+                << " (docs/operations.md)\n";
+    }
+    return 0;
+  }
+
+ private:
+  const Mode mode_;
+  std::istream& in_;
+  ExpectedScores* expected_;  // single-stream --expect-scores, or null
+  int64_t count_ = 0;         // lines or frames read
+  fr::FrameType request_type_ = fr::FrameType::kObserve;
+  std::mutex mu_;
+  int64_t scored_ = 0, alerts_ = 0, backpressured_ = 0;  // guarded by mu_
+  // Its own leaf lock (taken after mu_ when both are held): the request
+  // loop checks it after every request and must not wait behind the
+  // deadline flusher's output.
+  std::mutex fatal_mu_;
+  Status fatal_;  // guarded by fatal_mu_
+};
+
+// Drift and health advisories on stderr, polled after every request and
+// on every flusher tick. Each monitor's hysteresis fires an excursion
+// once, so polling from both threads cannot double-report. A rollback
+// notice names the restored generation so the operator knows the bad
+// candidate is already out of service.
+void PollMonitors(serve::ServingEngine& engine) {
+  const serve::ServeConfig& config = engine.config();
+  if (config.drift_threshold > 0.0) {
+    if (const auto repair = engine.PollDrift(); repair.has_value()) {
+      std::cerr << "drift alert: |exceed-rate shift| " << repair->drift
+                << " over " << repair->drift_window
+                << " recent scores on generation " << repair->generation
+                << " exceeds --drift-threshold " << config.drift_threshold
+                << "; repair with caee_repair and hot-swap the result via "
+                   "`reload,<path>` (docs/operations.md)\n";
+    }
+  }
+  if (!config.health.enabled) return;
+  const auto event = engine.PollHealth();
+  if (!event.has_value()) return;
+  std::cerr << "health alert ("
+            << serve::HealthVerdictName(event->verdict) << "): "
+            << serve::HealthSignalName(event->signal) << " " << event->value
+            << " over " << event->window
+            << " recent scores on generation " << event->generation
+            << " exceeds " << event->threshold;
+  if (event->rolled_back) {
+    std::cerr << "; rolled back to last-known-good generation "
+              << event->rolled_back_to << " (docs/operations.md)\n";
+  } else if (event->verdict == serve::HealthVerdict::kDataDrift) {
+    std::cerr << "; the DATA has likely shifted — repair with caee_repair "
+                 "and hot-swap the result via `reload,<path>` "
+                 "(docs/operations.md)\n";
+  } else {
+    std::cerr << "; the MODEL looks degraded — hot-swap a known-good "
+                 "artifact via `reload,<path>` (docs/operations.md)\n";
+  }
 }
 
-// ---------------------------------------------------------------------------
-// Multi-stream mode.
-// ---------------------------------------------------------------------------
-
-// `open,3` / `open,3,spot` / `close,3` control lines. Returns false for
-// data lines; a threshold-policy suffix is legal only on open.
-bool ParseControl(const std::string& line, std::string* verb, int64_t* id,
-                  std::optional<core::ThresholdPolicy>* policy) {
-  policy->reset();
-  const size_t comma = line.find(',');
-  if (comma == std::string::npos) return false;
-  const std::string head = line.substr(0, comma);
-  if (head != "open" && head != "close") return false;
-  std::string rest = line.substr(comma + 1);
-  const size_t second = rest.find(',');
-  if (second != std::string::npos) {
-    if (head != "open") return false;
-    auto parsed = core::ParseThresholdPolicy(rest.substr(second + 1));
-    if (!parsed.ok()) return false;
-    *policy = parsed.value();
-    rest.resize(second);
+// Deadline timer: input can stall with a partially filled batch pending;
+// this thread keeps the flush-deadline promise regardless. A failing
+// flush is not swallowed: it becomes the codec's fatal error, which the
+// request loop reports, and the timer stops retrying.
+class DeadlineFlusher {
+ public:
+  DeadlineFlusher(serve::ServingEngine& engine, Codec& codec) {
+    const int64_t deadline_ms = engine.config().flush_deadline_ms;
+    if (deadline_ms <= 0) return;
+    thread_ = std::thread([this, &engine, &codec, deadline_ms] {
+      const auto tick =
+          std::chrono::milliseconds(std::max<int64_t>(1, deadline_ms / 2));
+      std::vector<serve::StreamScore> results;
+      while (!done_.load()) {
+        std::this_thread::sleep_for(tick);
+        results.clear();
+        const Status status = engine.FlushIfExpired(&results);
+        if (!status.ok()) {
+          codec.SetFatal(Status(status.code(),
+                                "deadline flush failed: " + status.message()));
+          return;
+        }
+        if (!results.empty()) codec.Scores(results);
+        PollMonitors(engine);
+      }
+    });
   }
-  try {
-    size_t consumed = 0;
-    *id = std::stoll(rest, &consumed);
-    if (consumed != rest.size()) return false;
-  } catch (...) {
-    return false;
-  }
-  *verb = head;
-  return true;
-}
+  ~DeadlineFlusher() { Stop(); }
+  DeadlineFlusher(const DeadlineFlusher&) = delete;
+  DeadlineFlusher& operator=(const DeadlineFlusher&) = delete;
 
-// `3,0.5,1.2` — stream id, then the observation values.
-bool ParseStreamObservation(const std::string& line, int64_t* id,
-                            std::vector<float>* out) {
-  const size_t comma = line.find(',');
-  if (comma == std::string::npos) return false;
-  try {
-    size_t consumed = 0;
-    *id = std::stoll(line.substr(0, comma), &consumed);
-    if (consumed != comma) return false;
-  } catch (...) {
-    return false;
+  void Stop() {
+    done_.store(true);
+    if (thread_.joinable()) thread_.join();
   }
-  return ParseObservation(line.substr(comma + 1), out);
-}
 
-StatusOr<serve::ServeConfig> MultiStreamConfig(const cli::Args& args) {
+ private:
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+StatusOr<serve::ServeConfig> ServeConfigOf(const cli::Args& args) {
   serve::ServeConfig config;
+  if (!args.Has("streams")) {
+    // Single-stream mode: one stream, every window scored as it arrives.
+    config.max_batch = 1;
+    config.flush_deadline_ms = 0;
+    return config;
+  }
   config.max_batch = args.GetInt("max-batch", 8);
   config.flush_deadline_ms = args.GetInt("flush-ms", 50);
   config.num_shards = args.GetInt("shards", 1);
@@ -405,590 +506,65 @@ StatusOr<serve::ServeConfig> MultiStreamConfig(const cli::Args& args) {
   return config;
 }
 
-// Shared by both multi-stream modes: one drift poll, advisory on stderr.
-// The DriftMonitor's hysteresis guarantees at most one advisory per
-// excursion, so polling from both the line loop and the deadline flusher
-// cannot double-report.
-void PollDriftAdvisory(serve::ServingEngine& engine) {
-  if (engine.config().drift_threshold <= 0.0) return;
-  const auto repair = engine.PollDrift();
-  if (!repair.has_value()) return;
-  std::cerr << "drift alert: |exceed-rate shift| " << repair->drift
-            << " over " << repair->drift_window
-            << " recent scores on generation " << repair->generation
-            << " exceeds --drift-threshold "
-            << engine.config().drift_threshold
-            << "; repair with caee_repair and hot-swap the result via "
-               "`reload,<path>` (docs/operations.md)\n";
-}
-
-// Shared by both multi-stream modes: one health poll, excursions on
-// stderr. Same double-report immunity as PollDriftAdvisory: the
-// HealthMonitor's per-signal hysteresis fires each excursion once.
-// A rollback notice names the restored generation so the operator knows
-// the bad candidate is already out of service.
-void PollHealthAdvisory(serve::ServingEngine& engine) {
-  if (!engine.config().health.enabled) return;
-  const auto event = engine.PollHealth();
-  if (!event.has_value()) return;
-  std::cerr << "health alert ("
-            << serve::HealthVerdictName(event->verdict) << "): "
-            << serve::HealthSignalName(event->signal) << " " << event->value
-            << " over " << event->window
-            << " recent scores on generation " << event->generation
-            << " exceeds " << event->threshold;
-  if (event->rolled_back) {
-    std::cerr << "; rolled back to last-known-good generation "
-              << event->rolled_back_to << " (docs/operations.md)\n";
-  } else if (event->verdict == serve::HealthVerdict::kDataDrift) {
-    std::cerr << "; the DATA has likely shifted — repair with caee_repair "
-                 "and hot-swap the result via `reload,<path>` "
-                 "(docs/operations.md)\n";
-  } else {
-    std::cerr << "; the MODEL looks degraded — hot-swap a known-good "
-                 "artifact via `reload,<path>` (docs/operations.md)\n";
-  }
-}
-
-// `health` admin line: report the live model-health gauges on stderr.
-// Answered even without --health (says monitoring is off) so a generic
-// operator script needs no mode flag.
-void HandleTextHealth(serve::ServingEngine& engine) {
-  if (!engine.config().health.enabled) {
-    std::cerr << "health: monitoring off (serve with --health)\n";
-    return;
-  }
-  const serve::EngineStats stats = engine.Stats();
-  std::cerr << "health: generation " << stats.generation << ", "
-            << stats.health_window << " recent scores, score-shift "
-            << stats.score_shift << ", dispersion-ratio "
-            << stats.dispersion_ratio << ", non-finite-rate "
-            << stats.non_finite_rate << ", alert-rate " << stats.alert_rate
-            << ", " << stats.canary_rejections << " canary rejection(s), "
-            << stats.rollbacks << " rollback(s)\n";
-}
-
-// `reload,<path>` admin line: hot-swap with zero downtime. A failure is
-// DEGRADED MODE, not fatal — the engine keeps serving the old generation
-// and the error (which names the live generation) goes to stderr.
-void HandleTextReload(serve::ServingEngine& engine, const std::string& path) {
-  auto swapped = engine.ReloadArtifact(path);
-  if (swapped.ok()) {
-    std::cerr << "reloaded: now serving generation " << swapped.value()
-              << " from " << path << "\n";
-  } else {
-    std::cerr << "caee_serve: " << swapped.status() << "\n";
-  }
-}
-
-int RunMultiStream(const cli::Args& args, core::CaeEnsemble& ensemble,
-                   std::optional<double> threshold,
-                   core::ThresholdPolicy policy,
-                   const std::optional<core::SpotInit>& spot,
-                   const std::optional<core::HealthRef>& health,
-                   std::istream& in) {
-  auto config_or = MultiStreamConfig(args);
-  if (!config_or.ok()) return Fail(config_or.status());
-  serve::ServeConfig config = config_or.value();
-  config.threshold_policy = policy;
-  serve::ServingEngine engine(&ensemble, config, threshold, spot, health);
-
-  // Delivery is the single tally point: scores can arrive from the main
-  // loop OR from the deadline timer below, and both must count toward the
-  // end-of-run summary.
-  std::mutex out_mu;
-  int64_t scored = 0, alerts = 0;
-  auto deliver = [&](const std::vector<serve::StreamScore>& results) {
-    if (results.empty()) return;
-    std::lock_guard<std::mutex> lock(out_mu);
-    for (const auto& r : results) {
-      ++scored;
-      alerts += r.flag;
-      std::cout << r.stream_id << "," << r.index << "," << r.score << ","
-                << (r.flag ? 1 : 0) << "\n";
-    }
-    std::cout.flush();
+// The one request loop of every serving mode: read a request, dispatch
+// it, poll the monitors. At end of input — or on a shutdown signal —
+// every shard drains, so scores already owed are delivered, not dropped.
+int Serve(serve::ServingEngine& engine, Codec& codec) {
+  serve::Dispatcher dispatcher(&engine);
+  DeadlineFlusher flusher(engine, codec);
+  auto fail = [&](const Status& status) {
+    flusher.Stop();
+    return Fail(status);
   };
-
-  // Deadline timer: stdin can stall with a partially filled batch pending;
-  // this thread keeps the flush-deadline promise regardless. A failing
-  // flush is not swallowed: it parks the status for the main loop to
-  // report and stops retrying.
-  std::atomic<bool> done{false};
-  std::mutex flusher_status_mu;
-  Status flusher_status;  // guarded by flusher_status_mu
-  std::thread flusher;
-  if (config.flush_deadline_ms > 0) {
-    flusher = std::thread([&] {
-      const auto tick =
-          std::chrono::milliseconds(std::max<int64_t>(
-              1, config.flush_deadline_ms / 2));
-      while (!done.load()) {
-        std::this_thread::sleep_for(tick);
-        std::vector<serve::StreamScore> results;
-        const Status status = engine.FlushIfExpired(&results);
-        if (!status.ok()) {
-          std::lock_guard<std::mutex> lock(flusher_status_mu);
-          flusher_status = status;
-          return;
-        }
-        deliver(results);
-        PollDriftAdvisory(engine);
-        PollHealthAdvisory(engine);
-      }
-    });
-  }
-  auto stop_flusher = [&] {
-    done.store(true);
-    if (flusher.joinable()) flusher.join();
-  };
-  auto check_flusher = [&]() -> Status {
-    std::lock_guard<std::mutex> lock(flusher_status_mu);
-    return flusher_status;
-  };
-
-  std::string line;
-  std::vector<float> observation;
-  int64_t line_no = 0;
-  while (!g_shutdown && std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    if (Status status = check_flusher(); !status.ok()) {
-      stop_flusher();
-      return Fail(Status(status.code(),
-                         "deadline flush failed: " + status.message()));
-    }
-    if (line.rfind("reload,", 0) == 0) {
-      HandleTextReload(engine, line.substr(7));
-      continue;
-    }
-    if (line == "health") {
-      HandleTextHealth(engine);
-      continue;
-    }
-    std::vector<serve::StreamScore> results;
-    Status status;
-    std::string verb;
-    int64_t id = 0;
-    std::optional<core::ThresholdPolicy> open_policy;
-    if (ParseControl(line, &verb, &id, &open_policy)) {
-      status = verb == "open"
-                   ? (open_policy.has_value()
-                          ? engine.OpenStream(id, *open_policy)
-                          : engine.OpenStream(id))
-                   : engine.CloseStream(id, &results);
-    } else if (ParseStreamObservation(line, &id, &observation)) {
-      status = engine.Push(id, observation, &results);
-    } else {
-      stop_flusher();
-      return Fail(Status::InvalidArgument(
-          "line " + std::to_string(line_no) +
-          " is neither `open,<id>[,static|spot]`/`close,<id>` nor "
-          "`<id>,v1,v2,...`"));
-    }
-    if (!status.ok()) {
-      stop_flusher();
-      return Fail(Status(status.code(), "line " + std::to_string(line_no) +
-                                            ": " + status.message()));
-    }
-    deliver(results);
-    PollDriftAdvisory(engine);
-    PollHealthAdvisory(engine);
-  }
-
-  // End of input (or a shutdown signal): drain the queue, then stop the
-  // timer — scores already owed are delivered, not dropped.
-  if (g_shutdown) {
-    std::cerr << "caee_serve: caught shutdown signal, draining shards\n";
-  }
-  std::vector<serve::StreamScore> results;
-  const Status status = engine.Flush(&results);
-  stop_flusher();
-  if (!status.ok()) return Fail(status);
-  if (Status parked = check_flusher(); !parked.ok()) {
-    return Fail(Status(parked.code(),
-                       "deadline flush failed: " + parked.message()));
-  }
-  deliver(results);
-
-  const serve::EngineStats stats = engine.Stats();
-  std::cerr << "scored " << scored << " windows across streams, " << alerts
-            << " flagged, " << stats.non_finite_scores
-            << " non-finite scores (" << engine.num_streams()
-            << " sessions still open at EOF)\n";
-  if (stats.reloads + stats.failed_reloads > 0) {
-    std::cerr << "generation " << stats.generation << " live after "
-              << stats.reloads << " reload(s), " << stats.failed_reloads
-              << " rejected\n";
-  }
-  if (engine.spot() != nullptr) {
-    std::cerr << "drift: |exceed-rate shift| " << stats.drift << " over "
-              << stats.drift_window << " recent scores vs the calibration "
-              << "baseline (docs/thresholds.md)\n";
-  }
-  if (config.health.enabled) {
-    std::cerr << "health: " << stats.canary_rejections
-              << " canary rejection(s), " << stats.rollbacks
-              << " rollback(s), gauges over " << stats.health_window
-              << " recent scores: score-shift " << stats.score_shift
-              << ", dispersion-ratio " << stats.dispersion_ratio
-              << ", non-finite-rate " << stats.non_finite_rate
-              << ", alert-rate " << stats.alert_rate
-              << " (docs/operations.md)\n";
-  }
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// Binary-protocol multi-stream mode (docs/protocol.md).
-// ---------------------------------------------------------------------------
-
-int RunMultiStreamBinary(const cli::Args& args, core::CaeEnsemble& ensemble,
-                         std::optional<double> threshold,
-                         core::ThresholdPolicy policy,
-                         const std::optional<core::SpotInit>& spot,
-                         const std::optional<core::HealthRef>& health,
-                         std::istream& in) {
-  namespace fr = serve::framing;
-  auto config_or = MultiStreamConfig(args);
-  if (!config_or.ok()) return Fail(config_or.status());
-  serve::ServeConfig config = config_or.value();
-  config.threshold_policy = policy;
-  serve::ServingEngine engine(&ensemble, config, threshold, spot, health);
-
-  // One serialisation point for response frames: scores can come from the
-  // main loop or the deadline timer, and frames must never interleave
-  // mid-frame on the wire.
-  std::mutex out_mu;
-  int64_t scored = 0, alerts = 0, backpressured = 0;
-  auto respond = [&](const fr::Frame& frame) {
-    std::lock_guard<std::mutex> lock(out_mu);
-    fr::WriteFrame(std::cout, frame);
-  };
-  auto deliver = [&](const std::vector<serve::StreamScore>& results) {
-    if (results.empty()) return;
-    std::lock_guard<std::mutex> lock(out_mu);
-    for (const auto& r : results) {
-      ++scored;
-      alerts += r.flag;
-      fr::WriteFrame(std::cout, fr::MakeScoreFrame(r));
-    }
-    std::cout.flush();
-  };
-
-  std::atomic<bool> done{false};
-  std::mutex flusher_status_mu;
-  Status flusher_status;  // guarded by flusher_status_mu
-  std::thread flusher;
-  if (config.flush_deadline_ms > 0) {
-    flusher = std::thread([&] {
-      const auto tick = std::chrono::milliseconds(
-          std::max<int64_t>(1, config.flush_deadline_ms / 2));
-      while (!done.load()) {
-        std::this_thread::sleep_for(tick);
-        std::vector<serve::StreamScore> results;
-        const Status status = engine.FlushIfExpired(&results);
-        if (!status.ok()) {
-          std::lock_guard<std::mutex> lock(flusher_status_mu);
-          flusher_status = status;
-          return;
-        }
-        deliver(results);
-        PollDriftAdvisory(engine);
-        PollHealthAdvisory(engine);
-      }
-    });
-  }
-  auto stop_flusher = [&] {
-    done.store(true);
-    if (flusher.joinable()) flusher.join();
-  };
-  auto check_flusher = [&]() -> Status {
-    std::lock_guard<std::mutex> lock(flusher_status_mu);
-    return flusher_status;
-  };
-
-  // Tenant-level rejections (unknown stream, width mismatch, double open,
-  // full shard) are ANSWERED — an error or backpressure frame — and the
-  // server keeps serving; only wire-level corruption (truncation, CRC,
-  // version skew) is fatal, because a byte stream cannot resync past it.
-  fr::Frame frame;
-  std::vector<float> observation;
-  std::vector<serve::StreamScore> results;
-  int64_t frame_no = 0;
+  fr::Frame request;
   while (!g_shutdown) {
-    if (Status status = check_flusher(); !status.ok()) {
-      stop_flusher();
-      return Fail(Status(status.code(),
-                         "deadline flush failed: " + status.message()));
-    }
+    if (Status status = codec.fatal(); !status.ok()) return fail(status);
     bool eof = false;
-    if (Status status = fr::ReadFrame(in, &frame, &eof); !status.ok()) {
-      // A frame cut mid-read by the shutdown signal (EINTR) is the signal
-      // doing its job, not wire corruption: stop intake and drain.
+    if (Status status = codec.Read(&request, &eof); !status.ok()) {
+      // A read cut short by the shutdown signal (EINTR) is the signal
+      // doing its job, not corruption: stop intake and drain.
       if (g_shutdown) break;
-      stop_flusher();
-      return Fail(Status(status.code(), "frame " + std::to_string(frame_no) +
-                                            ": " + status.message()));
+      return fail(status);
     }
     if (eof) break;
-    ++frame_no;
-    results.clear();
-    switch (frame.frame_type()) {
-      case fr::FrameType::kOpen: {
-        // An empty payload opens with the server's default policy; a
-        // 1-byte payload selects per session (docs/protocol.md). A
-        // malformed payload is a tenant error, answered not fatal.
-        std::optional<core::ThresholdPolicy> open_policy;
-        Status status = fr::ParseOpenPolicy(frame, &open_policy);
-        if (status.ok()) {
-          status = open_policy.has_value()
-                       ? engine.OpenStream(frame.stream_id, *open_policy)
-                       : engine.OpenStream(frame.stream_id);
-        }
-        respond(status.ok() ? fr::MakeOkFrame(frame.stream_id)
-                            : fr::MakeErrorFrame(frame.stream_id, status));
-        break;
-      }
-      case fr::FrameType::kClose: {
-        const Status status = engine.CloseStream(frame.stream_id, &results);
-        deliver(results);
-        respond(status.ok() ? fr::MakeOkFrame(frame.stream_id)
-                            : fr::MakeErrorFrame(frame.stream_id, status));
-        break;
-      }
-      case fr::FrameType::kObserve: {
-        if (Status status = fr::ParseObserve(frame, &observation);
-            !status.ok()) {
-          respond(fr::MakeErrorFrame(frame.stream_id, status));
-          break;
-        }
-        const Status status =
-            engine.Push(frame.stream_id, observation, &results);
-        if (status.code() == StatusCode::kResourceExhausted) {
-          ++backpressured;
-          respond(fr::MakeBackpressureFrame(frame.stream_id));
-        } else if (!status.ok()) {
-          respond(fr::MakeErrorFrame(frame.stream_id, status));
-        } else {
-          deliver(results);
-        }
-        break;
-      }
-      case fr::FrameType::kFlush: {
-        const Status status = engine.Flush(&results);
-        deliver(results);
-        if (!status.ok()) {
-          respond(fr::MakeErrorFrame(0, status));
-        }
-        break;
-      }
-      case fr::FrameType::kReload: {
-        // Admin hot-swap. A rejected candidate is answered with an error
-        // frame (the engine keeps serving the old generation); only the
-        // wire layer can be fatal here.
-        std::string path;
-        Status status = fr::ParseReload(frame, &path);
-        if (status.ok()) {
-          auto swapped = engine.ReloadArtifact(path);
-          if (swapped.ok()) {
-            std::cerr << "reloaded: now serving generation "
-                      << swapped.value() << " from " << path << "\n";
-          } else {
-            status = swapped.status();
-          }
-        }
-        respond(status.ok() ? fr::MakeOkFrame(frame.stream_id)
-                            : fr::MakeErrorFrame(frame.stream_id, status));
-        break;
-      }
-      case fr::FrameType::kHealth: {
-        // Admin health report: always answered, even without --health
-        // (enabled=false, gauges zero) — monitoring clients need no mode
-        // flag. Counters come from the same EngineStats the text mode
-        // prints (aggregation contract in serve/shard.h).
-        const serve::EngineStats stats = engine.Stats();
-        fr::HealthStatus health_status;
-        health_status.enabled = config.health.enabled;
-        health_status.generation = stats.generation;
-        health_status.window = stats.health_window;
-        health_status.score_shift = stats.score_shift;
-        health_status.dispersion_ratio = stats.dispersion_ratio;
-        health_status.non_finite_rate = stats.non_finite_rate;
-        health_status.alert_rate = stats.alert_rate;
-        health_status.rollbacks = stats.rollbacks;
-        health_status.canary_rejections = stats.canary_rejections;
-        respond(fr::MakeHealthStatusFrame(health_status));
-        break;
-      }
-      default:
-        respond(fr::MakeErrorFrame(
-            frame.stream_id,
-            Status::InvalidArgument("unknown frame type " +
-                                    std::to_string(frame.type))));
-        break;
-    }
-    PollDriftAdvisory(engine);
-    PollHealthAdvisory(engine);
+    dispatcher.Dispatch(request, &codec);
+    if (Status status = codec.fatal(); !status.ok()) return fail(status);
+    PollMonitors(engine);
   }
 
-  // End of input (or a shutdown signal): drain every shard, then stop the
-  // timer.
   if (g_shutdown) {
     std::cerr << "caee_serve: caught shutdown signal, draining shards\n";
   }
-  results.clear();
+  std::vector<serve::StreamScore> results;
   const Status status = engine.Flush(&results);
-  stop_flusher();
+  flusher.Stop();
   if (!status.ok()) return Fail(status);
-  if (Status parked = check_flusher(); !parked.ok()) {
-    return Fail(Status(parked.code(),
-                       "deadline flush failed: " + parked.message()));
-  }
-  deliver(results);
+  if (Status parked = codec.fatal(); !parked.ok()) return Fail(parked);
+  if (!results.empty()) codec.Scores(results);
   std::cout.flush();
-
-  const serve::EngineStats stats = engine.Stats();
-  std::cerr << "scored " << scored << " windows across streams, " << alerts
-            << " flagged, " << stats.non_finite_scores
-            << " non-finite scores, " << backpressured
-            << " pushes backpressured (" << engine.num_streams()
-            << " sessions still open at EOF, " << config.num_shards
-            << " shards)\n";
-  if (stats.reloads + stats.failed_reloads > 0) {
-    std::cerr << "generation " << stats.generation << " live after "
-              << stats.reloads << " reload(s), " << stats.failed_reloads
-              << " rejected\n";
-  }
-  if (engine.spot() != nullptr) {
-    std::cerr << "drift: |exceed-rate shift| " << stats.drift << " over "
-              << stats.drift_window << " recent scores vs the calibration "
-              << "baseline (docs/thresholds.md)\n";
-  }
-  if (config.health.enabled) {
-    std::cerr << "health: " << stats.canary_rejections
-              << " canary rejection(s), " << stats.rollbacks
-              << " rollback(s), gauges over " << stats.health_window
-              << " recent scores: score-shift " << stats.score_shift
-              << ", dispersion-ratio " << stats.dispersion_ratio
-              << ", non-finite-rate " << stats.non_finite_rate
-              << ", alert-rate " << stats.alert_rate
-              << " (docs/operations.md)\n";
-  }
-  return 0;
+  if (Status status = codec.fatal(); !status.ok()) return Fail(status);
+  return codec.Summarize(engine);
 }
 
-// ---------------------------------------------------------------------------
-// Translator modes: text protocol <-> binary framing (no model involved).
-// ---------------------------------------------------------------------------
-
-int RunEncodeFrames(std::istream& in) {
-  namespace fr = serve::framing;
-  std::string line;
-  std::vector<float> observation;
-  int64_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    if (line.rfind("reload,", 0) == 0) {
-      fr::WriteFrame(std::cout, fr::MakeReloadFrame(line.substr(7)));
-      continue;
-    }
-    if (line == "health") {
-      fr::WriteFrame(std::cout, fr::MakeHealthFrame());
-      continue;
-    }
-    std::string verb;
-    int64_t id = 0;
-    std::optional<core::ThresholdPolicy> open_policy;
-    if (ParseControl(line, &verb, &id, &open_policy)) {
-      fr::Frame frame;
-      if (verb == "close") {
-        frame = fr::MakeCloseFrame(id);
-      } else if (open_policy.has_value()) {
-        frame = fr::MakeOpenFrame(id, *open_policy);
-      } else {
-        frame = fr::MakeOpenFrame(id);
-      }
-      fr::WriteFrame(std::cout, frame);
-    } else if (ParseStreamObservation(line, &id, &observation)) {
-      fr::WriteFrame(std::cout, fr::MakeObserveFrame(id, observation));
-    } else {
-      return Fail(Status::InvalidArgument(
-          "line " + std::to_string(line_no) +
-          " is neither `open,<id>[,static|spot]`/`close,<id>` nor "
-          "`<id>,v1,v2,...`"));
-    }
-  }
-  std::cout.flush();
-  return 0;
-}
-
-int RunDecodeFrames(std::istream& in) {
-  namespace fr = serve::framing;
+// --encode-frames / --decode-frames: the two halves of the text codec
+// alone, text protocol <-> binary framing, no model involved.
+int Translate(bool encode, std::istream& in) {
+  Codec codec(encode ? Codec::Mode::kText : Codec::Mode::kBinary, in,
+              nullptr);
   fr::Frame frame;
-  int64_t frame_no = 0, errors = 0;
+  int64_t errors = 0;
   while (true) {
     bool eof = false;
-    if (Status status = fr::ReadFrame(in, &frame, &eof); !status.ok()) {
-      return Fail(Status(status.code(), "frame " + std::to_string(frame_no) +
-                                            ": " + status.message()));
-    }
+    Status status = codec.Read(&frame, &eof);
+    if (!status.ok()) return Fail(status);
     if (eof) break;
-    ++frame_no;
-    switch (frame.frame_type()) {
-      case fr::FrameType::kScore: {
-        serve::StreamScore score;
-        if (Status status = fr::ParseScore(frame, &score); !status.ok()) {
-          return Fail(status);
-        }
-        std::cout << score.stream_id << "," << score.index << ","
-                  << score.score << "," << (score.flag ? 1 : 0) << "\n";
-        break;
-      }
-      case fr::FrameType::kOk:
-        break;  // open/close ack: nothing to print
-      case fr::FrameType::kBackpressure:
-        std::cerr << "backpressure: stream " << frame.stream_id
-                  << " rejected (shard pending pool full)\n";
-        break;
-      case fr::FrameType::kError: {
-        Status error;
-        if (Status status = fr::ParseError(frame, &error); !status.ok()) {
-          return Fail(status);
-        }
-        std::cerr << "server error for stream " << frame.stream_id << ": "
-                  << error << "\n";
-        ++errors;
-        break;
-      }
-      case fr::FrameType::kHealthStatus: {
-        // Mirrors HandleTextHealth so the translator pipeline's stderr
-        // matches the text server's (docs/protocol.md).
-        fr::HealthStatus hs;
-        if (Status status = fr::ParseHealthStatus(frame, &hs);
-            !status.ok()) {
-          return Fail(status);
-        }
-        if (!hs.enabled) {
-          std::cerr << "health: monitoring off (serve with --health)\n";
-        } else {
-          std::cerr << "health: generation " << hs.generation << ", "
-                    << hs.window << " recent scores, score-shift "
-                    << hs.score_shift << ", dispersion-ratio "
-                    << hs.dispersion_ratio << ", non-finite-rate "
-                    << hs.non_finite_rate << ", alert-rate " << hs.alert_rate
-                    << ", " << hs.canary_rejections
-                    << " canary rejection(s), " << hs.rollbacks
-                    << " rollback(s)\n";
-        }
-        break;
-      }
-      default:
-        return Fail(Status::InvalidArgument(
-            "unexpected frame type " + std::to_string(frame.type) +
-            " in a response stream"));
+    if (encode) {
+      fr::WriteFrame(std::cout, frame);
+      continue;
     }
+    status = serve::text::WriteResponse(frame, std::cout, std::cerr);
+    if (!status.ok()) return Fail(status);
+    errors += frame.frame_type() == fr::FrameType::kError;
   }
   std::cout.flush();
   return errors == 0 ? 0 : 1;
@@ -1010,58 +586,35 @@ int main(int argc, char** argv) {
     std::cerr << kUsage;
     return 0;
   }
-
-  // Translator modes are pure wire-format conversions — no model, no
-  // engine. They reject every serving flag so a typo'd serving invocation
-  // cannot silently degrade into a translator.
-  if (args.Has("encode-frames") || args.Has("decode-frames")) {
-    for (const char* flag :
-         {"model", "threads", "expect-scores", "tolerance", "streams",
-          "max-batch", "flush-ms", "shards", "max-pending", "binary",
-          "threshold-policy", "drift-threshold", "drift-clear", "health",
-          "health-shift", "health-dispersion", "health-nonfinite",
-          "health-alert", "probation"}) {
-      if (args.Has(flag)) {
-        std::cerr << "--encode-frames/--decode-frames take only --input\n"
-                  << kUsage;
-        return 2;
-      }
+  const bool translate =
+      args.Has("encode-frames") || args.Has("decode-frames");
+  if (translate) {
+    // Translator modes are pure wire-format conversions — no model, no
+    // engine. They reject every serving flag so a typo'd serving
+    // invocation cannot silently degrade into a translator.
+    if (HasStreamsFlag(args) || args.Has("model") || args.Has("threads") ||
+        args.Has("expect-scores") || args.Has("tolerance") ||
+        args.Has("streams") || args.Has("threshold-policy")) {
+      std::cerr << "--encode-frames/--decode-frames take only --input\n"
+                << kUsage;
+      return 2;
     }
     if (args.Has("encode-frames") && args.Has("decode-frames")) {
       std::cerr << "pick one of --encode-frames / --decode-frames\n"
                 << kUsage;
       return 2;
     }
-    std::ifstream file;
-    if (args.Has("input")) {
-      file.open(args.Get("input", ""), std::ios::binary);
-      if (!file) return Fail(Status::IOError("cannot open input file"));
-    }
-    std::istream& in = args.Has("input") ? file : std::cin;
-    std::cout.precision(std::numeric_limits<double>::max_digits10);
-    return args.Has("encode-frames") ? RunEncodeFrames(in)
-                                     : RunDecodeFrames(in);
-  }
-
-  if (!args.Has("model")) {
+  } else if (!args.Has("model")) {
     std::cerr << kUsage;
     return 2;
-  }
-  if (!args.Has("streams") &&
-      (args.Has("max-batch") || args.Has("flush-ms") || args.Has("shards") ||
-       args.Has("max-pending") || args.Has("binary") ||
-       args.Has("drift-threshold") || args.Has("drift-clear") ||
-       args.Has("health") || args.Has("health-shift") ||
-       args.Has("health-dispersion") || args.Has("health-nonfinite") ||
-       args.Has("health-alert") || args.Has("probation"))) {
+  } else if (!args.Has("streams") && HasStreamsFlag(args)) {
     std::cerr << "--max-batch/--flush-ms/--shards/--max-pending/--binary/"
                  "--drift-threshold/--drift-clear/--health (and its knobs) "
                  "require --streams\n"
               << kUsage;
     return 2;
-  }
-  if (args.Has("streams") &&
-      (args.Has("expect-scores") || args.Has("tolerance"))) {
+  } else if (args.Has("streams") &&
+             (args.Has("expect-scores") || args.Has("tolerance"))) {
     // Refusing beats silently skipping the cross-check: a "verification"
     // run that verified nothing must not exit 0.
     std::cerr << "--expect-scores/--tolerance are single-stream only\n"
@@ -1069,12 +622,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  std::ifstream file;
+  if (args.Has("input")) {
+    // Binary so frame bytes pass through untranslated; harmless for text.
+    file.open(args.Get("input", ""), std::ios::binary);
+    if (!file) return Fail(Status::IOError("cannot open input file"));
+  }
+  std::istream& in = args.Has("input") ? file : std::cin;
+  std::cout.precision(std::numeric_limits<double>::max_digits10);
+  if (translate) return Translate(args.Has("encode-frames"), in);
+
   auto loaded = core::LoadEnsemble(args.Get("model", ""));
   if (!loaded.ok()) return Fail(loaded.status());
   core::CaeEnsemble& ensemble = *loaded->ensemble;
   ensemble.set_num_threads(args.GetInt("threads", 0));
-  const double threshold =
-      loaded->threshold.value_or(std::numeric_limits<double>::infinity());
 
   core::ThresholdPolicy policy = core::ThresholdPolicy::kStatic;
   if (args.Has("threshold-policy")) {
@@ -1109,28 +670,43 @@ int main(int argc, char** argv) {
   std::cerr << "loaded ensemble: " << ensemble.num_models() << " models, "
             << "window " << ensemble.config().window << ", "
             << ensemble.input_dim() << " dims"
-            << (loaded->threshold ? ", threshold " + std::to_string(threshold)
-                                  : ", no threshold (flag always 0)")
+            << (loaded->threshold
+                    ? ", threshold " + std::to_string(*loaded->threshold)
+                    : ", no threshold (flag always 0)")
             << (loaded->spot ? ", spot-calibrated" : "")
             << (loaded->health ? ", health-calibrated" : "") << "\n";
 
-  std::ifstream file;
-  if (args.Has("input")) {
-    // Binary so frame bytes pass through untranslated; harmless for text.
-    file.open(args.Get("input", ""), std::ios::binary);
-    if (!file) return Fail(Status::IOError("cannot open input file"));
-  }
-  std::istream& in = args.Has("input") ? file : std::cin;
-  std::cout.precision(std::numeric_limits<double>::max_digits10);
-
   InstallShutdownHandler();
-  if (args.Has("streams")) {
-    if (args.Has("binary")) {
-      return RunMultiStreamBinary(args, ensemble, loaded->threshold, policy,
-                                  loaded->spot, loaded->health, in);
+  auto config = ServeConfigOf(args);
+  if (!config.ok()) return Fail(config.status());
+  config->threshold_policy = policy;
+  ExpectedScores expected;
+  if (args.Has("expect-scores")) {
+    std::ifstream scores_in(args.Get("expect-scores", ""));
+    if (!scores_in) {
+      return Fail(Status::IOError("cannot open expected-scores file"));
     }
-    return RunMultiStream(args, ensemble, loaded->threshold, policy,
-                          loaded->spot, loaded->health, in);
+    double value = 0.0;
+    while (scores_in >> value) expected.scores.push_back(value);
+    if (expected.scores.empty()) {
+      return Fail(Status::InvalidArgument(
+          "expected-scores file has no scores — nothing would be verified"));
+    }
+    expected.tolerance = args.GetDouble("tolerance", 0.0);
+    expected.window = ensemble.config().window;
   }
-  return RunSingleStream(args, ensemble, threshold, policy, loaded->spot, in);
+
+  serve::ServingEngine engine(&ensemble, config.value(), loaded->threshold,
+                              loaded->spot, loaded->health);
+  Codec::Mode mode = Codec::Mode::kText;
+  if (!args.Has("streams")) {
+    mode = Codec::Mode::kSingleStream;
+    if (Status opened = engine.OpenStream(0); !opened.ok()) {
+      return Fail(opened);
+    }
+  } else if (args.Has("binary")) {
+    mode = Codec::Mode::kBinary;
+  }
+  Codec codec(mode, in, args.Has("expect-scores") ? &expected : nullptr);
+  return Serve(engine, codec);
 }

@@ -105,8 +105,10 @@ Status ValidateHealthRef(const HealthRef& ref) {
 int64_t HealthBinIndex(const HealthRef& ref, double score) {
   const double width = (ref.max - ref.min) / static_cast<double>(kHealthBins);
   if (!(score > ref.min)) return 0;
-  const int64_t bin = static_cast<int64_t>((score - ref.min) / width);
-  return std::min(bin, kHealthBins - 1);
+  // Clamp before the cast: far past the range the quotient overflows
+  // int64, and converting it would be undefined behaviour.
+  const double bin = (score - ref.min) / width;
+  return bin < kHealthBins - 1 ? static_cast<int64_t>(bin) : kHealthBins - 1;
 }
 
 double HealthTotalVariation(const HealthRef& ref, const int64_t* counts,

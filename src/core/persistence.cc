@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -417,9 +418,13 @@ Status SaveEnsemble(const CaeEnsemble& ensemble, const std::string& path,
   return WriteArtifact(path, sections);
 }
 
-StatusOr<LoadedEnsemble> LoadEnsemble(const std::string& path) {
+StatusOr<std::string> ReadArtifactImage(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IOError("cannot open for read: " + path);
+  std::error_code error;
+  if (!std::filesystem::is_regular_file(path, error)) {
+    return Status::IOError("not a regular file: " + path);
+  }
   const std::streamoff file_size = in.tellg();
   if (file_size < 0) return Status::IOError("cannot stat: " + path);
   // One sized read into the final buffer (no stringstream double copy —
@@ -428,7 +433,13 @@ StatusOr<LoadedEnsemble> LoadEnsemble(const std::string& path) {
   in.seekg(0);
   in.read(data.data(), file_size);
   if (!in) return Status::IOError("read failed: " + path);
-  return ParseEnsembleArtifact(data, path);
+  return data;
+}
+
+StatusOr<LoadedEnsemble> LoadEnsemble(const std::string& path) {
+  auto data = ReadArtifactImage(path);
+  if (!data.ok()) return data.status();
+  return ParseEnsembleArtifact(data.value(), path);
 }
 
 StatusOr<LoadedEnsemble> ParseEnsembleArtifact(const std::string& data,

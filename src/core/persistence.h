@@ -2,7 +2,7 @@
 //
 // A fitted CaeEnsemble (plus the calibrated alert threshold) is written to a
 // single versioned binary file that a separate serving process loads and
-// feeds through StreamingScorer — the paper's Sec. 4.2.7 lifecycle (train
+// serves (src/serve/) — the paper's Sec. 4.2.7 lifecycle (train
 // offline, score arriving observations with frozen forward passes) split
 // across processes.
 //
@@ -87,13 +87,18 @@ Status SaveEnsemble(const CaeEnsemble& ensemble, const std::string& path,
 /// fitted and scores bitwise-identically to the one that was saved.
 StatusOr<LoadedEnsemble> LoadEnsemble(const std::string& path);
 
+/// \brief Read the whole file at `path` into memory, unparsed. IOError when
+/// it cannot be opened or read, or is not a regular file (a directory
+/// opens for reading but has no artifact size).
+StatusOr<std::string> ReadArtifactImage(const std::string& path);
+
 /// \brief Parse an artifact image already in memory. `name` labels error
 /// messages (a path, or a description of where the bytes came from).
-/// LoadEnsemble is ReadFile + this; the split exists so the serving layer
-/// can separate transient read failures (worth retrying) from corruption
-/// (not), and so fault-injection tests can corrupt the buffer without
-/// touching the filesystem. Every failure message names the offending
-/// section and its byte offset in the image.
+/// LoadEnsemble is ReadArtifactImage + this; the split exists so the
+/// serving layer can separate transient read failures (worth retrying)
+/// from corruption (not), and so fault-injection tests can corrupt the
+/// buffer without touching the filesystem. Every failure message names the
+/// offending section and its byte offset in the image.
 StatusOr<LoadedEnsemble> ParseEnsembleArtifact(const std::string& data,
                                                const std::string& name);
 

@@ -133,8 +133,8 @@ inline size_t SpotBytesPerStream(const SpotConfig& config) {
 }
 
 /// \brief Owning single-stream SPOT state: the serve layer's packed slabs
-/// and the single-stream CLI both reduce to this, and the serve tests use
-/// it as the sequential reference SPOT verdicts must match bitwise.
+/// reduce to this, and the serve tests use it as the sequential reference
+/// SPOT verdicts must match bitwise.
 class SpotState {
  public:
   /// \brief `init` must pass ValidateSpotInit (CHECKed — init params are

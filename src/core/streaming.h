@@ -10,8 +10,9 @@
 //     ensemble and runs no forward pass, which is what lets the serve layer
 //     (src/serve/) keep one WindowState per tenant stream and batch the
 //     forward passes across streams.
-//   - StreamingScorer: WindowState + one ensemble = the single-stream online
-//     scorer (score each observation as it arrives).
+//   - StreamingScorer: WindowState + one ensemble = the sequential
+//     single-stream scorer (score each observation as it arrives), the
+//     reference the serving engine's scores are tested against.
 //
 // See docs/serving.md for the serving modes built on top of these.
 

@@ -15,6 +15,8 @@ namespace {
 // reserved, stream_id.
 constexpr size_t kHeaderRest = 1 + 1 + 2 + 8;
 constexpr size_t kCrcBytes = 4;
+static_assert(kMaxPayloadBytes + kHeaderRest + kCrcBytes == kMaxFrameBytes,
+              "kMaxPayloadBytes must match the frame layout");
 
 void AppendPod(std::vector<uint8_t>* buf, const void* data, size_t size) {
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
@@ -152,12 +154,12 @@ Frame MakeObserveFrame(int64_t stream_id, const std::vector<float>& values) {
 Frame MakeFlushFrame() { return MakeFrame(FrameType::kFlush, 0); }
 
 Frame MakeReloadFrame(const std::string& path) {
-  // Paths are operator input; the frame bound leaves ample headroom, but a
-  // path that cannot fit is a caller bug, not a tenant error.
-  CAEE_CHECK_MSG(path.size() + 64 < kMaxFrameBytes,
+  // A path that cannot fit is a caller bug, not a tenant error: encoders
+  // of operator input reject it first (serve/text_protocol.h).
+  const uint32_t len = static_cast<uint32_t>(path.size());
+  CAEE_CHECK_MSG(sizeof(len) + path.size() <= kMaxPayloadBytes,
                  "reload path exceeds the frame bound");
   Frame frame = MakeFrame(FrameType::kReload, 0);
-  const uint32_t len = static_cast<uint32_t>(path.size());
   frame.payload.reserve(sizeof(len) + path.size());
   AppendPod(&frame.payload, &len, sizeof(len));
   if (!path.empty()) AppendPod(&frame.payload, path.data(), path.size());

@@ -33,6 +33,7 @@
 #ifndef CAEE_SERVE_FRAMING_H_
 #define CAEE_SERVE_FRAMING_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <optional>
@@ -58,6 +59,12 @@ inline constexpr uint8_t kFramingVersion = 1;
 /// turn into a gigabyte allocation. Generous: the largest legitimate
 /// payload (kObserve) is 4 + 4 * dims bytes.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
+
+/// \brief Largest payload a frame can carry: kMaxFrameBytes less the 12
+/// header bytes and 4 CRC bytes the length prefix also counts. Encoders
+/// of untrusted input (serve/text_protocol.h) check against it before
+/// building a frame.
+inline constexpr size_t kMaxPayloadBytes = kMaxFrameBytes - 16;
 
 enum class FrameType : uint8_t {
   // Requests.
@@ -120,7 +127,8 @@ Frame MakeCloseFrame(int64_t stream_id);
 Frame MakeObserveFrame(int64_t stream_id, const std::vector<float>& values);
 Frame MakeFlushFrame();
 /// \brief Admin hot-swap request: serve from the artifact at `path`
-/// (docs/operations.md). The path must fit the frame bound (CHECKed).
+/// (docs/operations.md). The payload (4 + path bytes) must fit
+/// kMaxPayloadBytes (CHECKed).
 Frame MakeReloadFrame(const std::string& path);
 /// \brief Admin model-health report request (docs/operations.md).
 Frame MakeHealthFrame();

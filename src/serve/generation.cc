@@ -1,31 +1,11 @@
 #include "serve/generation.h"
 
 #include <chrono>
-#include <fstream>
 #include <thread>
 #include <utility>
 
 namespace caee {
 namespace serve {
-
-namespace {
-
-/// Read the whole artifact into memory. Failures here are the TRANSIENT
-/// class (the file may be mid-rename from a concurrent SaveEnsemble, or the
-/// filesystem hiccuped) — LoadGeneration retries them.
-StatusOr<std::string> ReadArtifactImage(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  const std::streamoff file_size = in.tellg();
-  if (file_size < 0) return Status::IOError("cannot stat: " + path);
-  std::string data(static_cast<size_t>(file_size), '\0');
-  in.seekg(0);
-  in.read(data.data(), file_size);
-  if (!in) return Status::IOError("read failed: " + path);
-  return data;
-}
-
-}  // namespace
 
 StatusOr<std::shared_ptr<Generation>> LoadGeneration(
     const std::string& path, int64_t id, const LoadRetryPolicy& retry,
@@ -50,7 +30,9 @@ StatusOr<std::shared_ptr<Generation>> LoadGeneration(
         continue;
       }
     }
-    auto data = ReadArtifactImage(path);
+    // Read failures are the TRANSIENT class (the file may be mid-rename
+    // from a concurrent SaveEnsemble, or the filesystem hiccuped): retried.
+    auto data = core::ReadArtifactImage(path);
     if (!data.ok()) {
       last = data.status();
       continue;

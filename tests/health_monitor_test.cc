@@ -76,6 +76,11 @@ TEST(HealthRefTest, BinIndexClampsTheTails) {
   EXPECT_EQ(core::HealthBinIndex(ref, ref.max), core::kHealthBins - 1);
   EXPECT_EQ(core::HealthBinIndex(ref, ref.max + 100.0),
             core::kHealthBins - 1);
+  // Far past the range the bin quotient overflows int64: clamped before
+  // the cast, not wrapped into bin 0 (or INT64_MIN).
+  EXPECT_EQ(core::HealthBinIndex(ref, ref.max * 1e20), core::kHealthBins - 1);
+  EXPECT_EQ(core::HealthBinIndex(ref, std::numeric_limits<double>::max()),
+            core::kHealthBins - 1);
   const int64_t mid = core::HealthBinIndex(ref, (ref.min + ref.max) / 2.0);
   EXPECT_GT(mid, 0);
   EXPECT_LT(mid, core::kHealthBins - 1);

@@ -317,9 +317,14 @@ TEST_F(PersistenceTest, ScalerRestoreValidates) {
 }
 
 TEST_F(PersistenceTest, MissingFileFails) {
-  auto loaded = core::LoadEnsemble(TempPath("does-not-exist.caee"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  // A directory opens for reading and reports a bogus size: it must fail
+  // the same way, not throw from a huge allocation.
+  for (const std::string& path :
+       {TempPath("does-not-exist.caee"), ::testing::TempDir()}) {
+    auto loaded = core::LoadEnsemble(path);
+    ASSERT_FALSE(loaded.ok()) << path;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError) << path;
+  }
 }
 
 // ---------------------------------------------------------------------------
