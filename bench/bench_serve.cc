@@ -1,31 +1,25 @@
-// Multi-stream serving throughput: streams x max-batch x impl table.
+// Multi-stream serving throughput: streams x max-batch table.
 //
 // Trains one small ensemble, then replays S independent synthetic streams
 // through serve::ServingEngine round-robin and measures scored windows per
-// second for each (streams, max_batch) cell, once per scoring backend:
-//
-//   impl=plan   the graph-free compiled-forward-plan engine (infer/plan.h),
-//               the production path serve:: runs
-//   impl=graph  the original ag::Var module-tree forward, kept as the
-//               reference implementation
-//
-// The graph-vs-plan delta is the cost of per-op graph construction the plan
-// removes; the streams=1/max_batch=1 row is the serving TAIL-LATENCY case
-// (one window per forward pass — ns/window is the per-window latency floor,
-// nothing amortises). docs/serving.md "Sizing note" and docs/inference.md
-// interpret the table.
+// second for each (streams, max_batch) cell on the compiled-forward-plan
+// engine (infer/plan.h). The streams=1/max_batch=1 row is the serving
+// TAIL-LATENCY case (one window per forward pass — ns/window is the
+// per-window latency floor, nothing amortises). docs/serving.md "Sizing
+// note" and docs/inference.md interpret the table.
 //
 // `--caee_json=PATH` additionally writes machine-readable entries
 // {streams, max_batch, threads, impl, windows_per_sec, ns_per_window,
-// checksum}; scripts/run_benches.sh writes them to BENCH_5.json and
-// scripts/check_bench_regression.py guards them in CI. The checksum is the
-// sum of all scores in the cell's run — batching AND backend choice must
+// checksum} (impl is always "plan"); scripts/run_benches.sh writes them to
+// BENCH_5.json and scripts/check_bench_regression.py guards them in CI.
+// The checksum is the sum of all scores in the cell's run — batching must
 // not move it by a single bit, so drift here is a determinism regression,
-// not noise.
+// not noise. tests/infer_plan_test.cc checks the plans against the
+// autograd reference bitwise.
 //
 // SCALE TABLE (PR 6): a second table sweeps streams {1k, 10k, 100k} x
-// shards {1, 4, 16} at max_batch=16 on the plan backend, measuring the
-// metric the sharded engine exists for — BYTES PER IDLE STREAM (open S
+// shards {1, 4, 16} at max_batch=16, measuring the metric the sharded
+// engine exists for — BYTES PER IDLE STREAM (open S
 // sessions, warm each ring to w-1 observations so nothing is pending, then
 // divide serve::ServingEngine::MemoryBytes() by S) — plus scored-window
 // throughput over a small ACTIVE subset (min(S, 64) streams fed
@@ -37,9 +31,9 @@
 // score by a single bit.
 //
 // POLICY TABLE (PR 7): a third table compares the two threshold policies
-// (docs/thresholds.md) on the plan backend — static (the pre-SPOT
-// baseline, engine built without SPOT params) vs spot (per-stream GPD
-// tail state, adaptive verdicts) — reporting ns/window and bytes per
+// (docs/thresholds.md) — static (the pre-SPOT baseline, engine built
+// without SPOT params) vs spot (per-stream GPD tail state, adaptive
+// verdicts) — reporting ns/window and bytes per
 // idle stream so the per-stream cost of the adaptive policy
 // (core::SpotBytesPerStream) shows up next to its throughput cost.
 // The cell checksum must match across policies: a verdict policy decides
@@ -109,10 +103,10 @@ struct ServeEntry {
   int64_t streams;
   int64_t max_batch;
   int64_t threads;
-  const char* impl;  // "plan" or "graph"
+  const char* impl;  // always "plan"
   double windows_per_sec;
   double ns_per_window;
-  double checksum;  // sum of all scores — batch- and backend-invariant
+  double checksum;  // sum of all scores — batch-invariant
 };
 
 // Deterministic sine-plus-noise stream (each stream gets its own phase via
@@ -152,7 +146,6 @@ struct ScaleEntry {
 ScaleEntry RunScaleCell(core::CaeEnsemble* ensemble, int64_t num_streams,
                         int64_t num_shards, int64_t obs_per_stream,
                         int64_t dims) {
-  ensemble->set_scoring_backend(core::ScoringBackend::kPlan);
   const int64_t w = ensemble->config().window;
   serve::ServeConfig config;
   config.max_batch = 16;
@@ -247,7 +240,6 @@ PolicyEntry RunPolicyCell(
     core::CaeEnsemble* ensemble, const std::optional<core::SpotInit>& spot,
     core::ThresholdPolicy policy,
     const std::vector<std::vector<std::vector<float>>>& streams) {
-  ensemble->set_scoring_backend(core::ScoringBackend::kPlan);
   const int64_t w = ensemble->config().window;
   serve::ServeConfig config;
   config.max_batch = 16;
@@ -323,7 +315,6 @@ struct HealthEntry {
 HealthEntry RunHealthCell(
     core::CaeEnsemble* ensemble, const core::HealthRef& ref, bool enabled,
     const std::vector<std::vector<std::vector<float>>>& streams) {
-  ensemble->set_scoring_backend(core::ScoringBackend::kPlan);
   const int64_t w = ensemble->config().window;
   serve::ServeConfig config;
   config.max_batch = 16;
@@ -410,7 +401,6 @@ ReloadEntry RunReloadCell(
     const std::vector<std::vector<std::vector<float>>>& streams,
     int64_t max_batch, const std::string& artifact_path,
     int64_t num_reloads) {
-  ensemble->set_scoring_backend(core::ScoringBackend::kPlan);
   serve::ServeConfig config;
   config.max_batch = max_batch;
   config.flush_deadline_ms = 0;
@@ -493,8 +483,7 @@ ReloadEntry RunReloadCell(
 
 ServeEntry RunCell(core::CaeEnsemble* ensemble,
                    const std::vector<std::vector<std::vector<float>>>& streams,
-                   int64_t max_batch, core::ScoringBackend backend) {
-  ensemble->set_scoring_backend(backend);
+                   int64_t max_batch) {
   serve::ServeConfig config;
   config.max_batch = max_batch;
   config.flush_deadline_ms = 0;  // timing measures batching, not timers
@@ -532,7 +521,7 @@ ServeEntry RunCell(core::CaeEnsemble* ensemble,
   entry.streams = num_streams;
   entry.max_batch = max_batch;
   entry.threads = static_cast<int64_t>(ensemble->config().num_threads);
-  entry.impl = backend == core::ScoringBackend::kPlan ? "plan" : "graph";
+  entry.impl = "plan";
   entry.windows_per_sec = static_cast<double>(results.size()) / seconds;
   entry.ns_per_window =
       seconds * 1e9 / static_cast<double>(results.size());
@@ -610,28 +599,23 @@ int Main(int argc, char** argv) {
     double base_checksum = 0.0;
     bool have_base = false;
     for (const int64_t max_batch : {int64_t{1}, int64_t{4}, int64_t{16}}) {
-      for (const auto backend :
-           {core::ScoringBackend::kPlan, core::ScoringBackend::kGraph}) {
-        const ServeEntry entry =
-            RunCell(&ensemble, streams, max_batch, backend);
-        std::printf("%8lld %10lld %7s %16.1f %14.1f\n",
-                    static_cast<long long>(entry.streams),
-                    static_cast<long long>(entry.max_batch), entry.impl,
-                    entry.windows_per_sec, entry.ns_per_window);
-        // Determinism across batch sizes AND backends: identical inputs
-        // must sum to the identical checksum everywhere.
-        if (!have_base) {
-          base_checksum = entry.checksum;
-          have_base = true;
-        } else {
-          CAEE_CHECK_MSG(entry.checksum == base_checksum,
-                         "checksum drift at streams=" << num_streams
-                             << " max_batch=" << max_batch << " impl="
-                             << entry.impl
-                             << " — batching or backend changed scores");
-        }
-        entries.push_back(entry);
+      const ServeEntry entry = RunCell(&ensemble, streams, max_batch);
+      std::printf("%8lld %10lld %7s %16.1f %14.1f\n",
+                  static_cast<long long>(entry.streams),
+                  static_cast<long long>(entry.max_batch), entry.impl,
+                  entry.windows_per_sec, entry.ns_per_window);
+      // Determinism across batch sizes: identical inputs must sum to the
+      // identical checksum everywhere.
+      if (!have_base) {
+        base_checksum = entry.checksum;
+        have_base = true;
+      } else {
+        CAEE_CHECK_MSG(entry.checksum == base_checksum,
+                       "checksum drift at streams=" << num_streams
+                           << " max_batch=" << max_batch
+                           << " — batching changed scores");
       }
+      entries.push_back(entry);
     }
     std::printf("\n");
   }
@@ -639,7 +623,7 @@ int Main(int argc, char** argv) {
   // The tail-latency summary: one window per pass, nothing amortised.
   for (const ServeEntry& e : entries) {
     if (e.streams == 1 && e.max_batch == 1) {
-      std::printf("B=1 latency (%5s): %.1f us/window\n", e.impl,
+      std::printf("B=1 latency: %.1f us/window\n",
                   e.ns_per_window / 1000.0);
     }
   }

@@ -1,7 +1,7 @@
 // caee_repair: the offline consumer of the drift -> repair escalation
 // (docs/operations.md).
 //
-// When caee_serve's drift monitor reports that the live exceed rate has
+// When caee_serve's drift signal reports that the live exceed rate has
 // drifted away from the SPOT calibration baseline, an operator (or a
 // supervisor script) runs this tool on a CSV of recently served
 // observations. It scores them with the CURRENT artifact, repairs the

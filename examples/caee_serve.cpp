@@ -363,23 +363,11 @@ class Codec : public serve::ResponseSink {
 };
 
 // Drift and health advisories on stderr, polled after every request and
-// on every flusher tick. Each monitor's hysteresis fires an excursion
-// once, so polling from both threads cannot double-report. A rollback
-// notice names the restored generation so the operator knows the bad
-// candidate is already out of service.
+// on every flusher tick. Each signal's hysteresis fires an excursion once,
+// so polling from both threads cannot double-report. A rollback notice
+// names the restored generation so the operator knows the bad candidate is
+// already out of service.
 void PollMonitors(serve::ServingEngine& engine) {
-  const serve::ServeConfig& config = engine.config();
-  if (config.drift_threshold > 0.0) {
-    if (const auto repair = engine.PollDrift(); repair.has_value()) {
-      std::cerr << "drift alert: |exceed-rate shift| " << repair->drift
-                << " over " << repair->drift_window
-                << " recent scores on generation " << repair->generation
-                << " exceeds --drift-threshold " << config.drift_threshold
-                << "; repair with caee_repair and hot-swap the result via "
-                   "`reload,<path>` (docs/operations.md)\n";
-    }
-  }
-  if (!config.health.enabled) return;
   const auto event = engine.PollHealth();
   if (!event.has_value()) return;
   std::cerr << "health alert ("
@@ -465,16 +453,6 @@ StatusOr<serve::ServeConfig> ServeConfigOf(const cli::Args& args) {
   if (config.max_pending < 0) {
     return Status::InvalidArgument("--max-pending must be >= 0");
   }
-  if (args.Has("drift-threshold") && config.drift_threshold <= 0.0) {
-    return Status::InvalidArgument("--drift-threshold must be > 0");
-  }
-  if (config.drift_clear < 0.0 ||
-      (config.drift_clear > 0.0 &&
-       config.drift_clear >= config.drift_threshold)) {
-    return Status::InvalidArgument(
-        "--drift-clear must be in (0, drift-threshold) — it is the "
-        "re-arm level of the hysteresis");
-  }
   config.health.enabled = args.Has("health");
   config.health.shift_threshold =
       args.GetDouble("health-shift", config.health.shift_threshold);
@@ -494,14 +472,26 @@ StatusOr<serve::ServeConfig> ServeConfigOf(const cli::Args& args) {
         "--health-shift/--health-dispersion/--health-nonfinite/"
         "--health-alert/--probation require --health");
   }
-  if (config.health.enabled &&
-      (config.health.shift_threshold <= 0.0 ||
-       config.health.dispersion_threshold <= 0.0 ||
-       config.health.non_finite_threshold <= 0.0 ||
-       config.health.alert_threshold <= 0.0 ||
-       config.health.probation_windows < 1)) {
+  // std::stod parses "nan" and "inf". A NaN threshold compares false
+  // against every gauge and an infinite one is never exceeded, so either
+  // would arm a monitor that can never fire.
+  for (const char* flag :
+       {"drift-threshold", "drift-clear", "health-shift", "health-dispersion",
+        "health-nonfinite", "health-alert"}) {
+    const double value = args.GetDouble(flag, 1.0);
+    if (!std::isfinite(value) || value <= 0.0) {
+      return Status::InvalidArgument(std::string("--") + flag +
+                                     " must be a finite number > 0");
+    }
+  }
+  if (args.Has("drift-clear") &&
+      config.drift_clear >= config.drift_threshold) {
     return Status::InvalidArgument(
-        "--health thresholds must be > 0 and --probation >= 1");
+        "--drift-clear must be in (0, drift-threshold) — it is the "
+        "re-arm level of the hysteresis");
+  }
+  if (config.health.probation_windows < 1) {
+    return Status::InvalidArgument("--probation must be >= 1");
   }
   return config;
 }

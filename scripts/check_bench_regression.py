@@ -9,7 +9,8 @@ Handles both JSON schemas the benches emit:
                      ns_per_iter (BENCH_3.json baseline)
   bench_serve        entries keyed by (streams, max_batch, threads, impl),
                      timed by ns_per_window (BENCH_5.json baseline) — the
-                     graph-free plan path's serving guard
+                     serving guard of the compiled-plan scorer (impl is
+                     always "plan")
   bench_serve_scale  entries keyed by (streams, shards, max_batch, threads,
                      impl), timed by ns_per_window (BENCH_6.json baseline).
                      Additionally gates bytes_per_idle_stream at
@@ -43,7 +44,7 @@ Fails (exit 1) if any entry present in both files got slower than
 --max-ratio x the baseline time. The threshold is loose on purpose:
 baselines are recorded on one machine and CI runs on another, so only real
 regressions (an accidentally de-vectorised loop, a lost blocking path, a
-scoring path that fell back to graph construction) should trip it, not
+scoring path that started allocating per call) should trip it, not
 runner-to-runner variance.
 
 Checksum drift is reported as a warning, not a failure: matmul/conv

@@ -2,8 +2,8 @@
 # Runs the kernel micro-benchmarks (emitting a machine-readable
 # BENCH_3.json: op, shape, threads, impl, ns/iter, checksum), the
 # multi-stream serving throughput table (BENCH_5.json: streams x max-batch
-# x impl windows/sec, with graph-vs-plan rows and the B=1 tail-latency
-# case), and the two timing benches at 1 and 4 engine threads with a
+# windows/sec on the compiled plans, with the B=1 tail-latency case), and
+# the two timing benches at 1 and 4 engine threads with a
 # before/after table for the parallel execution engine.
 #
 # Usage: scripts/run_benches.sh [build_dir]
@@ -67,7 +67,7 @@ else
 fi
 
 if [[ -x "${BUILD_DIR}/bench_serve" ]]; then
-  echo "=== Multi-stream serving (streams x max-batch x impl; writes ${SERVE_JSON};"
+  echo "=== Multi-stream serving (streams x max-batch; writes ${SERVE_JSON};"
   echo "    scale table streams x shards with bytes/idle-stream; writes ${SCALE_JSON};"
   echo "    threshold-policy table static vs spot; writes ${POLICY_JSON};"
   echo "    hot-swap reload table steady vs reload; writes ${RELOAD_JSON};"

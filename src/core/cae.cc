@@ -48,7 +48,7 @@ Cae::Cae(const CaeConfig& config, Rng* rng) : config_(config) {
 
 infer::CaePlan Cae::CompilePlan(size_t slot_base) const {
   // Records the exact layer walk Reconstruct performs; keep the two in
-  // lockstep (the plan-vs-graph identity tests assert the equivalence).
+  // lockstep (the plan-vs-autograd identity tests assert the equivalence).
   infer::CaePlan plan(config_.embed_dim, slot_base);
   for (const auto& layer : encoder_) {
     plan.AddEncoderLayer(infer::MakeConvStep(layer.glu->a1()),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -141,9 +140,6 @@ void CaeEnsemble::CompilePlans() {
 }
 
 Tensor CaeEnsemble::EmbedBatch(const Tensor& batch) const {
-  if (backend_ == ScoringBackend::kGraph || embed_plan_ == nullptr) {
-    return EmbedConstant(batch)->value();
-  }
   Tensor out = Tensor::Uninitialized(
       Shape{batch.dim(0), batch.dim(1), config_.cae.embed_dim});
   embed_plan_->Execute(batch.data(), batch.dim(0), out.data());
@@ -151,9 +147,6 @@ Tensor CaeEnsemble::EmbedBatch(const Tensor& batch) const {
 }
 
 Tensor CaeEnsemble::ReconstructForward(size_t mi, const Tensor& x) const {
-  if (backend_ == ScoringBackend::kGraph || member_plans_.empty()) {
-    return models_[mi]->Reconstruct(ag::Constant(x))->value();
-  }
   Tensor out = Tensor::Uninitialized(x.shape());
   member_plans_[mi].Execute(x.data(), x.dim(0), x.dim(1),
                             &infer::ThreadArena(), out.data());
@@ -577,9 +570,6 @@ StatusOr<std::vector<double>> CaeEnsemble::ScoreWindowsLast(
   if (windows.dim(2) != input_dim()) {
     return Status::InvalidArgument("window dimensionality mismatch");
   }
-  if (backend_ == ScoringBackend::kGraph) {
-    return ScoreWindowsLastGraph(windows);
-  }
   std::vector<double> scores;
   if (Status s = ScoreWindowsLastInto(windows.data(), windows.dim(0), &scores);
       !s.ok()) {
@@ -616,58 +606,16 @@ constexpr double kDispersionEps = 1e-12;
 
 // Relative median absolute deviation of the member errors in `column`
 // (size m) around their median `med` — the member-agreement dispersion the
-// health subsystem watches (docs/operations.md). `scratch` (size m) is
-// overwritten; both paths below feed it the same bits, so plan and graph
-// dispersions are bitwise identical like the scores themselves.
-double MemberDispersion(const double* column, double* scratch, size_t m,
-                        double med) {
+// health subsystem watches (docs/operations.md). Overwrites `column` with
+// the absolute deviations.
+double MemberDispersion(double* column, size_t m, double med) {
   for (size_t mi = 0; mi < m; ++mi) {
-    scratch[mi] = std::fabs(column[mi] - med);
+    column[mi] = std::fabs(column[mi] - med);
   }
-  return MedianInPlace(scratch, m) / std::max(med, kDispersionEps);
+  return MedianInPlace(column, m) / std::max(med, kDispersionEps);
 }
 
 }  // namespace
-
-StatusOr<std::vector<double>> CaeEnsemble::ScoreWindowsLastGraph(
-    const Tensor& windows, std::vector<double>* dispersions) const {
-  // Reference implementation: the original ag::Var forward. Kept verbatim
-  // (minus the needless deep copy when rescaling is off) so tests and
-  // benches can compare the plan path against it bit for bit.
-  const int64_t batch = windows.dim(0);
-  const EngineScope engine(config_.num_threads);
-  const ParallelTrainer& trainer = engine.trainer();
-  const Tensor* input = &windows;
-  Tensor scaled;
-  if (config_.rescale_enabled) {
-    scaled = Tensor::Uninitialized(windows.shape());
-    ScaleWindowsRaw(windows.data(), batch, scaled.data());
-    input = &scaled;
-  }
-  ag::Var x = EmbedConstant(*input);
-  std::vector<std::vector<double>> errors(models_.size());
-  trainer.Run(models_.size(), [&](size_t mi) {
-    ag::Var recon = models_[mi]->Reconstruct(x);
-    errors[mi] = LastPositionErrors(x->value(), recon->value());
-  });
-  // Per-window median across members, reduced in index order (Eq. 15).
-  std::vector<double> scores(static_cast<size_t>(batch));
-  if (dispersions != nullptr) dispersions->resize(static_cast<size_t>(batch));
-  std::vector<double> column(models_.size());
-  std::vector<double> scratch(models_.size());
-  for (int64_t b = 0; b < batch; ++b) {
-    for (size_t mi = 0; mi < models_.size(); ++mi) {
-      column[mi] = errors[mi][static_cast<size_t>(b)];
-    }
-    const double med = Median(column);
-    scores[static_cast<size_t>(b)] = med;
-    if (dispersions != nullptr) {
-      (*dispersions)[static_cast<size_t>(b)] = MemberDispersion(
-          column.data(), scratch.data(), models_.size(), med);
-    }
-  }
-  return scores;
-}
 
 Status CaeEnsemble::ScoreWindowsLastInto(
     const float* windows, int64_t batch, std::vector<double>* scores,
@@ -680,17 +628,6 @@ Status CaeEnsemble::ScoreWindowsLastInto(
   }
   const int64_t w = config_.window;
   const int64_t d = input_dim();
-  if (backend_ == ScoringBackend::kGraph) {
-    // Reference backend: wrap the raw buffer and take the graph path
-    // (allocates freely — it exists for comparison, not serving).
-    Tensor wrapped = Tensor::Uninitialized(Shape{batch, w, d});
-    std::memcpy(wrapped.data(), windows,
-                static_cast<size_t>(batch * w * d) * sizeof(float));
-    auto result = ScoreWindowsLastGraph(wrapped, dispersions);
-    if (!result.ok()) return result.status();
-    *scores = std::move(result).value();
-    return Status::OK();
-  }
 
   // The graph-free online-inference hot path (Table 8 at B = 1; the
   // multi-stream serving engine at B > 1): M compiled forward plans over
@@ -751,11 +688,11 @@ Status CaeEnsemble::ScoreWindowsLastInto(
     (*scores)[static_cast<size_t>(b)] = med;
     if (dispersions != nullptr) {
       // Second selection pass over the SAME buffer: MedianInPlace only
-      // permutes the member values, so overwriting them with their absolute
-      // deviations feeds MemberDispersion the same multiset the graph path
-      // sees — bitwise-identical dispersion, still zero allocations.
+      // permuted the member values, and a median does not depend on input
+      // order — so the dispersion is that of the member errors, with zero
+      // allocations.
       (*dispersions)[static_cast<size_t>(b)] =
-          MemberDispersion(column.data(), column.data(), m, med);
+          MemberDispersion(column.data(), m, med);
     }
   }
   return Status::OK();

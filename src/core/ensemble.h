@@ -105,15 +105,6 @@ struct TrainStats {
   int64_t parameters_per_model = 0;
 };
 
-/// \brief Which execution engine the forward-only scoring paths use.
-/// kPlan (the default) runs the compiled graph-free forward plans
-/// (infer/plan.h): same kernels, same call order, bitwise-identical scores,
-/// no per-op graph construction or heap traffic. kGraph forces the original
-/// ag::Var module-tree forward — the reference implementation the identity
-/// tests and benches compare against (the kernels::reference:: precedent).
-/// Training always uses the graph.
-enum class ScoringBackend { kPlan, kGraph };
-
 /// \brief Born-again parameter transfer (Fig. 9): copy an element-wise
 /// Bernoulli(beta) mask of `from`'s parameters into `to`. The modules must
 /// have identical parameter sets (same names/shapes). Returns the fraction
@@ -167,11 +158,11 @@ class CaeEnsemble {
 
   /// \brief Allocation-free form of ScoreWindowsLast: `windows` is a raw
   /// (batch, w, D) row-major buffer, `scores` is resized to `batch` (its
-  /// capacity is reused across calls). On the plan backend with
-  /// num_threads == 1, steady-state calls perform ZERO heap allocations —
-  /// activations live in per-thread arenas, scratch and score buffers are
-  /// grow-only (asserted by tests/alloc_count_test.cc). This is the entry
-  /// point serve::ServingEngine's flush loop runs.
+  /// capacity is reused across calls). With num_threads == 1, steady-state
+  /// calls perform ZERO heap allocations — activations live in per-thread
+  /// arenas, scratch and score buffers are grow-only (asserted by
+  /// tests/alloc_count_test.cc). This is the entry point
+  /// serve::ServingEngine's flush loop runs.
   Status ScoreWindowsLastInto(const float* windows, int64_t batch,
                               std::vector<double>* scores) const {
     return ScoreWindowsLastInto(windows, batch, scores, nullptr);
@@ -184,16 +175,11 @@ class CaeEnsemble {
   /// Diversity-driven members agree on normal data, so a sustained rise of
   /// this statistic is the serve layer's label-free model-degradation signal
   /// (serve::HealthMonitor — docs/operations.md). Passing null skips the
-  /// second median pass entirely; with it the call stays zero-alloc on the
-  /// plan backend (the extra pass reuses the same grow-only scratch).
+  /// second median pass entirely; with it the call stays zero-alloc (the
+  /// extra pass reuses the same grow-only scratch).
   Status ScoreWindowsLastInto(const float* windows, int64_t batch,
                               std::vector<double>* scores,
                               std::vector<double>* dispersions) const;
-
-  /// \brief Select the scoring execution engine (default kPlan). The graph
-  /// backend exists as the bitwise reference for tests and benches.
-  void set_scoring_backend(ScoringBackend backend) { backend_ = backend; }
-  ScoringBackend scoring_backend() const { return backend_; }
 
   /// \brief Change the parallel-engine worker count after construction.
   /// Scoring parallelism is a runtime choice (trained weights are
@@ -240,27 +226,19 @@ class CaeEnsemble {
   /// result is a constant graph leaf (no gradient bookkeeping).
   ag::Var EmbedConstant(const Tensor& batch) const;
 
-  /// \brief Backend-dispatched embedding of a raw window batch into a
-  /// plain tensor (plan: EmbeddingPlan::Execute; graph: EmbedConstant).
+  /// \brief Embedding of a raw window batch into a plain tensor through
+  /// the compiled EmbeddingPlan.
   Tensor EmbedBatch(const Tensor& batch) const;
 
-  /// \brief Backend-dispatched forward-only reconstruction by member `mi`
-  /// (plan: CaePlan::Execute into a fresh tensor; graph: Reconstruct).
-  /// Bitwise identical either way. The batched-scoring hot path uses the
-  /// plans directly on arena buffers instead.
+  /// \brief Forward-only reconstruction by member `mi` through its
+  /// compiled CaePlan, into a fresh tensor. The batched-scoring hot path
+  /// runs the plans directly on arena buffers instead.
   Tensor ReconstructForward(size_t mi, const Tensor& x) const;
 
   /// \brief Compile the embedding + member forward plans from the fitted
   /// modules; called at the end of Fit and Restore (weight tensors must not
   /// be reallocated afterwards — the plans hold raw pointers into them).
   void CompilePlans();
-
-  /// \brief The original autograd implementation of ScoreWindowsLast, kept
-  /// as the reference the plan path is compared against. Fills per-window
-  /// member dispersions too when `dispersions` is non-null (same statistic
-  /// as the ScoreWindowsLastInto overload, bitwise identical).
-  StatusOr<std::vector<double>> ScoreWindowsLastGraph(
-      const Tensor& windows, std::vector<double>* dispersions = nullptr) const;
 
   /// \brief Z-score a raw (batch, w, D) window buffer into `out` with the
   /// fitted scaler stats — the same per-element double-precision transform
@@ -301,7 +279,6 @@ class CaeEnsemble {
   // time, so per-thread arenas never see two members concurrently.
   std::unique_ptr<infer::EmbeddingPlan> embed_plan_;
   std::vector<infer::CaePlan> member_plans_;
-  ScoringBackend backend_ = ScoringBackend::kPlan;
   TrainStats stats_;
   bool fitted_ = false;
 };

@@ -22,15 +22,6 @@ std::vector<std::vector<double>> WindowErrors(const Tensor& x,
   return errors;
 }
 
-std::vector<double> LastPositionErrors(const Tensor& x, const Tensor& recon) {
-  CAEE_CHECK_MSG(x.SameShape(recon), "LastPositionErrors shape mismatch");
-  CAEE_CHECK_MSG(x.rank() == 3, "LastPositionErrors expects (B,w,D)");
-  const int64_t b = x.dim(0), w = x.dim(1), d = x.dim(2);
-  std::vector<double> out(static_cast<size_t>(b));
-  LastPositionErrorsRaw(x.data(), recon.data(), b, w, d, out.data());
-  return out;
-}
-
 void LastPositionErrorsRaw(const float* x, const float* recon, int64_t b,
                            int64_t w, int64_t d, double* out) {
   for (int64_t bb = 0; bb < b; ++bb) {

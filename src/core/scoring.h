@@ -24,17 +24,15 @@ namespace core {
 std::vector<std::vector<double>> WindowErrors(const Tensor& x,
                                               const Tensor& recon);
 
-/// \brief Last-position errors only: out[b] = ||x[b,w-1,:] - recon[b,w-1,:]||²
-/// with the same ascending-j double-precision accumulation as WindowErrors,
-/// so out[b] is bitwise equal to WindowErrors(x, recon)[b].back() (see
+/// \brief Last-position errors only, over raw (b, w, d) row-major
+/// activation buffers (out holds b doubles):
+/// out[b] = ||x[b,w-1,:] - recon[b,w-1,:]||², with the same ascending-j
+/// double-precision accumulation as WindowErrors, so out[b] is bitwise
+/// equal to WindowErrors(x, recon)[b].back() (see
 /// docs/numeric-contract.md). This is the batched online-serving hot path:
 /// every window past the first contributes only its last observation
 /// (Fig. 10), so scoring B ready windows needs B row reductions, not B*w.
-std::vector<double> LastPositionErrors(const Tensor& x, const Tensor& recon);
-
-/// \brief Raw-buffer form of LastPositionErrors for the graph-free plan
-/// path (x and recon are (b, w, d) row-major activation buffers, out holds
-/// b doubles). Identical accumulation, no allocation.
+/// No allocation.
 void LastPositionErrorsRaw(const float* x, const float* recon, int64_t b,
                            int64_t w, int64_t d, double* out);
 

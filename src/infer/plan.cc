@@ -19,7 +19,7 @@ namespace {
 // same per-element expression over the same operands in the same order, so
 // the results carry the same bits; in-place forms read each element before
 // overwriting it. Any change here must keep that pairing intact — the
-// plan-vs-graph identity tests (tests/infer_plan_test.cc) enforce it with
+// plan-vs-autograd identity tests (tests/infer_plan_test.cc) enforce it with
 // EXPECT_EQ on doubles.
 // ---------------------------------------------------------------------------
 

@@ -5,7 +5,10 @@
 // glibc/Linux), CAEE_MULTIVERSION additionally emits an AVX2 clone of the
 // annotated function and dispatches via IFUNC at load time, which roughly
 // doubles vector width on post-2013 x86. Everywhere else it expands to
-// nothing and the portable baseline build is used.
+// nothing and the portable baseline build is used — including under
+// ThreadSanitizer: the IFUNC resolvers of a target_clones function run
+// before the TSan runtime is initialised, so an instrumented binary with
+// them segfaults at load.
 //
 // Numerics note: the clone list deliberately enables only "avx2" — NOT
 // "fma". Without fused-multiply-add instructions every clone executes the
@@ -17,7 +20,7 @@
 #define CAEE_KERNELS_SIMD_H_
 
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__gnu_linux__)
+    defined(__gnu_linux__) && !defined(__SANITIZE_THREAD__)
 #define CAEE_MULTIVERSION __attribute__((target_clones("default", "avx2")))
 #else
 #define CAEE_MULTIVERSION

@@ -1,22 +1,26 @@
 #include "serve/health_monitor.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace caee {
 namespace serve {
 namespace {
 
-double SnapshotValue(const HealthSnapshot& snapshot, HealthSignal signal) {
-  switch (signal) {
-    case HealthSignal::kScoreShift:
-      return snapshot.score_shift;
-    case HealthSignal::kDispersion:
-      return snapshot.dispersion_ratio;
-    case HealthSignal::kNonFiniteRate:
-      return snapshot.non_finite_rate;
-    case HealthSignal::kAlertRate:
-      return snapshot.alert_rate;
-  }
-  return 0.0;
-}
+// Where each signal's value and window live in the engine snapshot,
+// indexed by HealthSignal. The four health gauges share the health rings'
+// window; drift has the drift rings' own.
+struct Gauge {
+  double EngineStats::*value;
+  int64_t EngineStats::*window;
+};
+constexpr Gauge kGauges[kNumHealthSignals] = {
+    {&EngineStats::score_shift, &EngineStats::health_window},
+    {&EngineStats::dispersion_ratio, &EngineStats::health_window},
+    {&EngineStats::non_finite_rate, &EngineStats::health_window},
+    {&EngineStats::alert_rate, &EngineStats::health_window},
+    {&EngineStats::drift, &EngineStats::drift_window},
+};
 
 // Check order: most severe first, so one Update on a badly broken model
 // reports the signal that best explains the breakage.
@@ -25,6 +29,7 @@ constexpr HealthSignal kCheckOrder[kNumHealthSignals] = {
     HealthSignal::kDispersion,
     HealthSignal::kScoreShift,
     HealthSignal::kAlertRate,
+    HealthSignal::kDrift,
 };
 
 }  // namespace
@@ -39,6 +44,8 @@ const char* HealthSignalName(HealthSignal signal) {
       return "non-finite-rate";
     case HealthSignal::kAlertRate:
       return "alert-rate";
+    case HealthSignal::kDrift:
+      return "drift";
   }
   return "unknown";
 }
@@ -62,83 +69,61 @@ HealthVerdict ClassifyHealthSignal(HealthSignal signal) {
       return HealthVerdict::kModelDegradation;
     case HealthSignal::kScoreShift:
     case HealthSignal::kAlertRate:
+    case HealthSignal::kDrift:
       return HealthVerdict::kDataDrift;
   }
   return HealthVerdict::kHealthy;
 }
 
-HealthMonitor::HealthMonitor(const HealthConfig& config) : config_(config) {}
-
-double HealthMonitor::threshold(HealthSignal signal) const {
-  switch (signal) {
-    case HealthSignal::kScoreShift:
-      return config_.shift_threshold;
-    case HealthSignal::kDispersion:
-      return config_.dispersion_threshold;
-    case HealthSignal::kNonFiniteRate:
-      return config_.non_finite_threshold;
-    case HealthSignal::kAlertRate:
-      return config_.alert_threshold;
+HealthMonitor::HealthMonitor(const HealthConfig& health,
+                             double drift_threshold, double drift_clear)
+    : min_window_(health.min_window),
+      on_{health.enabled, health.enabled, health.enabled, health.enabled,
+          drift_threshold > 0.0},
+      threshold_{health.shift_threshold, health.dispersion_threshold,
+                 health.non_finite_threshold, health.alert_threshold,
+                 drift_threshold},
+      clear_{health.shift_clear, health.dispersion_clear,
+             health.non_finite_clear, health.alert_clear, drift_clear} {
+  for (int i = 0; i < kNumHealthSignals; ++i) {
+    if (clear_[i] <= 0.0) clear_[i] = threshold_[i] / 2.0;
   }
-  return 0.0;
 }
 
-double HealthMonitor::clear_level(HealthSignal signal) const {
-  double clear = 0.0;
-  switch (signal) {
-    case HealthSignal::kScoreShift:
-      clear = config_.shift_clear;
-      break;
-    case HealthSignal::kDispersion:
-      clear = config_.dispersion_clear;
-      break;
-    case HealthSignal::kNonFiniteRate:
-      clear = config_.non_finite_clear;
-      break;
-    case HealthSignal::kAlertRate:
-      clear = config_.alert_clear;
-      break;
-  }
-  return clear > 0.0 ? clear : threshold(signal) / 2.0;
+bool HealthMonitor::enabled() const {
+  return std::any_of(std::begin(on_), std::end(on_),
+                     [](bool on) { return on; });
 }
 
-std::optional<HealthEvent> HealthMonitor::Update(
-    int64_t generation, const HealthSnapshot& snapshot) {
-  if (!config_.enabled || snapshot.window < config_.min_window) {
-    return std::nullopt;
-  }
+std::optional<HealthEvent> HealthMonitor::Update(const EngineStats& stats) {
   std::optional<HealthEvent> fired;
   for (HealthSignal signal : kCheckOrder) {
-    const double value = SnapshotValue(snapshot, signal);
-    bool& armed = armed_[static_cast<int>(signal)];
-    if (!armed) {
+    const int i = Index(signal);
+    const int64_t window = stats.*kGauges[i].window;
+    if (!on_[i] || window < min_window_) continue;
+    const double value = stats.*kGauges[i].value;
+    if (!armed_[i]) {
       // Hysteresis: re-arm only once the statistic drops strictly below
       // the clear level, so a lingering excursion fires exactly once.
-      if (value < clear_level(signal)) {
-        armed = true;
-      }
+      if (value < clear_[i]) armed_[i] = true;
       continue;
     }
-    if (value > threshold(signal) && !fired.has_value()) {
-      armed = false;
+    if (value > threshold_[i] && !fired.has_value()) {
+      armed_[i] = false;
       HealthEvent event;
       event.signal = signal;
       event.verdict = ClassifyHealthSignal(signal);
-      event.generation = generation;
+      event.generation = stats.generation;
       event.value = value;
-      event.threshold = threshold(signal);
-      event.window = snapshot.window;
+      event.threshold = threshold_[i];
+      event.window = window;
       fired = event;
     }
   }
   return fired;
 }
 
-void HealthMonitor::Reset() {
-  for (bool& armed : armed_) {
-    armed = true;
-  }
-}
+void HealthMonitor::Reset() { std::fill_n(armed_, kNumHealthSignals, true); }
 
 }  // namespace serve
 }  // namespace caee

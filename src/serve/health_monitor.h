@@ -1,12 +1,11 @@
-// Engine-level model-health escalation (docs/operations.md).
+// Engine-level escalation of the label-free serving signals
+// (docs/operations.md).
 //
-// The drift monitor (serve/drift_monitor.h) watches ONE statistic — the
-// SPOT exceed-rate shift — and answers "has the DATA moved away from the
-// calibration?". HealthMonitor answers the complementary question the
-// ROADMAP's unsupervised-validation item asks: has the MODEL gone bad,
-// without labels? It watches four statistics the shards maintain over a
-// ring of recent scores, each against the artifact's persisted calibration
-// reference (core::HealthRef):
+// HealthMonitor judges five statistics the shards maintain, and answers two
+// questions without labels: has the DATA moved away from the calibration,
+// and has the MODEL gone bad? Four signals are the model-health gauges,
+// computed over a ring of recent scores against the artifact's persisted
+// calibration reference (core::HealthRef); the fifth is the SPOT drift:
 //
 //   kScoreShift     total-variation distance between the live score
 //                   histogram and the training-score histogram;
@@ -16,17 +15,22 @@
 //                   itself — not the data — has degraded);
 //   kNonFiniteRate  fraction of non-finite scores (a healthy model never
 //                   produces them);
-//   kAlertRate      fraction of flagged verdicts (alert runaway).
+//   kAlertRate      fraction of flagged verdicts (alert runaway);
+//   kDrift          |observed SPOT exceed rate - (1 - level)| over the
+//                   shards' drift rings (docs/thresholds.md).
 //
-// Each signal has its own DriftMonitor-style hysteresis: fire once per
-// excursion, disarm, re-arm strictly below its clear level. An excursion
-// is CLASSIFIED: non-finite scores and member-agreement collapse can only
-// come from the model (kModelDegradation — the rollback escalation);
-// score shift and alert runaway alone are indistinguishable from the data
-// moving (kDataDrift — the existing drift -> repair advisory path).
+// The four health signals are on with HealthConfig::enabled; drift is on
+// with ServeConfig::drift_threshold > 0, independently of health. Every
+// signal is judged over its own window and has its own hysteresis: fire
+// once per excursion, disarm, re-arm strictly below its clear level. An
+// excursion is CLASSIFIED: non-finite scores and member-agreement collapse
+// can only come from the model (kModelDegradation — the rollback
+// escalation); score shift, alert runaway and drift alone are
+// indistinguishable from the data moving (kDataDrift — the repair
+// advisory).
 //
-// The monitor is pure policy over a snapshot of gauges; the engine owns
-// the gauges (shard health rings), the probation window, and the rollback
+// The monitor is pure policy over one EngineStats snapshot; the engine
+// owns the gauges (shard rings), the probation window, and the rollback
 // itself (ServingEngine::PollHealth).
 
 #ifndef CAEE_SERVE_HEALTH_MONITOR_H_
@@ -34,6 +38,8 @@
 
 #include <cstdint>
 #include <optional>
+
+#include "serve/shard.h"
 
 namespace caee {
 namespace serve {
@@ -43,13 +49,14 @@ enum class HealthSignal {
   kDispersion = 1,
   kNonFiniteRate = 2,
   kAlertRate = 3,
+  kDrift = 4,
 };
-inline constexpr int kNumHealthSignals = 4;
+inline constexpr int kNumHealthSignals = 5;
 
 enum class HealthVerdict {
   kHealthy = 0,
-  /// The data moved; the model may still be fine. Escalates like the
-  /// drift monitor: repair advisory, no rollback.
+  /// The data moved; the model may still be fine. Escalates to a repair
+  /// advisory, never a rollback.
   kDataDrift = 1,
   /// The model itself is misbehaving. During probation this verdict
   /// triggers automatic rollback to the last-known-good generation.
@@ -63,24 +70,14 @@ const char* HealthVerdictName(HealthVerdict verdict);
 /// signal -> verdict mapping in the file comment).
 HealthVerdict ClassifyHealthSignal(HealthSignal signal);
 
-/// \brief The gauges one Update judges — computed by ServingEngine::Stats
-/// from the shard health rings (each gauge is the max over shards, the
-/// window the sum; see EngineStats).
-struct HealthSnapshot {
-  int64_t window = 0;            // scores behind the gauges
-  double score_shift = 0.0;      // TV distance, in [0, 1]
-  double dispersion_ratio = 0.0; // live / reference mean dispersion
-  double non_finite_rate = 0.0;  // in [0, 1]
-  double alert_rate = 0.0;       // in [0, 1]
-};
-
 /// \brief Model-health knobs (ServeConfig::health). The thresholds are
 /// deliberately loose by default — a health FIRING is an operator-visible
 /// incident (and during probation a rollback), so the defaults aim at
 /// "unambiguously broken", not "statistically interesting".
 struct HealthConfig {
-  /// Master switch. Off (the default): no health rings, no canary buffer,
-  /// no probation — byte-for-byte the pre-health engine behavior.
+  /// Master switch of the four model-health signals. Off (the default):
+  /// no health rings, no canary buffer, no probation — byte-for-byte the
+  /// pre-health engine behavior. The drift signal does not depend on it.
   bool enabled = false;
   /// Fire kScoreShift when the TV distance exceeds this.
   double shift_threshold = 0.35;
@@ -90,14 +87,14 @@ struct HealthConfig {
   double non_finite_threshold = 0.01;
   /// Fire kAlertRate when the flagged fraction exceeds this.
   double alert_threshold = 0.5;
-  /// Per-signal re-arm levels; <= 0 means half the matching threshold
-  /// (the DriftMonitor convention).
+  /// Per-signal re-arm levels; <= 0 means half the matching threshold.
   double shift_clear = 0.0;
   double dispersion_clear = 0.0;
   double non_finite_clear = 0.0;
   double alert_clear = 0.0;
-  /// Minimum scores behind the gauges before any signal is trusted (a
-  /// near-empty ring after a swap reads as extreme shift).
+  /// Minimum scores behind a signal's own window before that signal is
+  /// trusted (a near-empty ring after a swap reads as extreme shift).
+  /// Applies to all five signals, drift included.
   int64_t min_window = 64;
   /// Scored windows after a successful swap during which a
   /// kModelDegradation verdict rolls back to the last-known-good
@@ -127,33 +124,44 @@ struct HealthEvent {
 
 class HealthMonitor {
  public:
-  explicit HealthMonitor(const HealthConfig& config);
+  /// \brief `drift_threshold` and `drift_clear` are ServeConfig's: drift
+  /// is on iff drift_threshold > 0, the other four signals iff
+  /// health.enabled.
+  HealthMonitor(const HealthConfig& health, double drift_threshold,
+                double drift_clear);
 
   /// \brief Judge one snapshot. Signals are checked most-severe first
-  /// (non-finite, dispersion, shift, alert rate) and at most ONE event is
-  /// returned per call; every signal keeps its own hysteresis, so a
-  /// still-excursed signal stays quiet until it clears and re-fires.
-  /// Always nullopt when disabled or window < min_window.
-  std::optional<HealthEvent> Update(int64_t generation,
-                                    const HealthSnapshot& snapshot);
+  /// (non-finite, dispersion, shift, alert rate, then drift) and at most
+  /// ONE event is returned per call; every signal keeps its own
+  /// hysteresis, so a still-excursed signal stays quiet until it clears and
+  /// re-fires. A signal that is off, or whose window holds fewer than
+  /// min_window scores, neither fires nor re-arms.
+  std::optional<HealthEvent> Update(const EngineStats& stats);
 
-  /// \brief Forget every excursion — called after a successful swap or a
-  /// rollback, when the reference the gauges compare against changed.
+  /// \brief Forget every excursion — called after a reload (accepted or
+  /// rejected) or a rollback.
   void Reset();
 
-  bool enabled() const { return config_.enabled; }
-  bool armed(HealthSignal signal) const {
-    return armed_[static_cast<int>(signal)];
-  }
-  const HealthConfig& config() const { return config_; }
-
+  /// \brief Whether any signal is on.
+  bool enabled() const;
+  bool armed(HealthSignal signal) const { return armed_[Index(signal)]; }
   /// \brief Effective threshold / re-arm level of one signal.
-  double threshold(HealthSignal signal) const;
-  double clear_level(HealthSignal signal) const;
+  double threshold(HealthSignal signal) const {
+    return threshold_[Index(signal)];
+  }
+  double clear_level(HealthSignal signal) const {
+    return clear_[Index(signal)];
+  }
 
  private:
-  HealthConfig config_;
-  bool armed_[kNumHealthSignals] = {true, true, true, true};
+  static int Index(HealthSignal signal) { return static_cast<int>(signal); }
+
+  int64_t min_window_;
+  // Per-signal tables, indexed by HealthSignal.
+  bool on_[kNumHealthSignals];
+  double threshold_[kNumHealthSignals];
+  double clear_[kNumHealthSignals];
+  bool armed_[kNumHealthSignals] = {true, true, true, true, true};
 };
 
 }  // namespace serve

@@ -12,13 +12,6 @@ namespace serve {
 
 namespace {
 
-DriftMonitorConfig MakeDriftConfig(const ServeConfig& config) {
-  DriftMonitorConfig drift;
-  drift.threshold = config.drift_threshold;
-  drift.clear = config.drift_clear;
-  return drift;
-}
-
 // Guard for dividing by a (theoretically) zero reference dispersion; same
 // floor the shard health gauges use.
 constexpr double kDispersionFloor = 1e-12;
@@ -96,8 +89,8 @@ ServingEngine::ServingEngine(const core::CaeEnsemble* ensemble,
                              std::optional<core::SpotInit> spot,
                              std::optional<core::HealthRef> health)
     : config_(config),
-      drift_monitor_(MakeDriftConfig(config)),
-      health_monitor_(config.health) {
+      health_monitor_(config.health, config.drift_threshold,
+                      config.drift_clear) {
   CAEE_CHECK_MSG(config_.num_shards >= 1, "num_shards must be >= 1");
   // Generation 1 wraps the caller-owned ensemble (serve/generation.h);
   // every later generation comes from ReloadArtifact and owns its weights.
@@ -170,15 +163,11 @@ StatusOr<int64_t> ServingEngine::ReloadArtifact(const std::string& path) {
 
   auto fail = [&](Status s) -> Status {
     reloads_failed_.fetch_add(1, std::memory_order_relaxed);
-    // A rejected reload RE-ARMS both monitors. The excursion that
+    // A rejected reload RE-ARMS every signal. The excursion that
     // prompted this repair attempt is still live and still measured (no
     // shard state was touched), so the next poll can fire a fresh
     // advisory — one per failed repair attempt, instead of silence after
-    // the first firing (tests/drift_monitor_test.cc pins this).
-    {
-      std::lock_guard<std::mutex> lock(drift_mu_);
-      drift_monitor_.Reset();
-    }
+    // the first firing (tests/hot_swap_test.cc pins this).
     {
       std::lock_guard<std::mutex> lock(health_mu_);
       health_monitor_.Reset();
@@ -233,12 +222,10 @@ StatusOr<int64_t> ServingEngine::ReloadArtifact(const std::string& path) {
         "health monitoring is on but the candidate artifact has no health "
         "section (train with --health; docs/operations.md)"));
   }
-  // The new ensemble inherits the live one's runtime knobs — they are
-  // deployment configuration, not artifact content. Safe to mutate here:
-  // the candidate is not yet shared with any shard (the canary below
-  // shadow-scores with the deployment's backend, like live traffic will).
+  // The new ensemble inherits the live one's worker count — deployment
+  // configuration, not artifact content. Safe to mutate here: the
+  // candidate is not yet shared with any shard.
   gen->owned_ensemble->set_num_threads(live.config().num_threads);
-  gen->owned_ensemble->set_scoring_backend(live.scoring_backend());
 
   // Canary phase: shadow-score the retained ring of recent live windows
   // with the candidate BEFORE any shard adopts it. Rejection leaves every
@@ -275,13 +262,8 @@ StatusOr<int64_t> ServingEngine::ReloadArtifact(const std::string& path) {
     gen_ = adopted;
   }
   {
-    // New calibration baseline -> a fresh drift excursion accounting.
-    std::lock_guard<std::mutex> lock(drift_mu_);
-    drift_monitor_.Reset();
-  }
-  {
-    // The health monitor restarts with the swap (its gauges now measure
-    // the new generation against the new reference), and the new
+    // The monitor restarts with the swap (its gauges now measure the new
+    // generation against the new calibration baseline), and the new
     // generation enters PROBATION: the previous one is retained as
     // last-known-good for automatic rollback until probation is survived
     // (PollHealth promotes it then). A swap landing DURING probation
@@ -303,15 +285,10 @@ StatusOr<int64_t> ServingEngine::ReloadArtifact(const std::string& path) {
   return adopted->id;
 }
 
-std::optional<RepairRequest> ServingEngine::PollDrift() {
-  const EngineStats stats = Stats();
-  std::lock_guard<std::mutex> lock(drift_mu_);
-  return drift_monitor_.Update(stats.generation, stats.drift,
-                               stats.drift_window);
-}
+std::optional<HealthEvent> ServingEngine::PollDrift() { return PollHealth(); }
 
 std::optional<HealthEvent> ServingEngine::PollHealth() {
-  if (!config_.health.enabled) return std::nullopt;
+  if (!health_monitor_.enabled()) return std::nullopt;
   const EngineStats stats = Stats();
   // Read BEFORE health_mu_ (strict leaf-lock discipline). If a reload
   // lands between this read and the lock, the probation-expiry check
@@ -319,12 +296,6 @@ std::optional<HealthEvent> ServingEngine::PollHealth() {
   // probation_start_windows_ to a value >= stats.scored_windows, so the
   // expiry condition is false.
   const std::shared_ptr<const Generation> live = CurrentGeneration();
-  HealthSnapshot snapshot;
-  snapshot.window = stats.health_window;
-  snapshot.score_shift = stats.score_shift;
-  snapshot.dispersion_ratio = stats.dispersion_ratio;
-  snapshot.non_finite_rate = stats.non_finite_rate;
-  snapshot.alert_rate = stats.alert_rate;
   std::optional<HealthEvent> event;
   {
     std::lock_guard<std::mutex> lock(health_mu_);
@@ -336,7 +307,7 @@ std::optional<HealthEvent> ServingEngine::PollHealth() {
       in_probation_ = false;
       last_good_ = live;
     }
-    event = health_monitor_.Update(stats.generation, snapshot);
+    event = health_monitor_.Update(stats);
   }
   if (!event.has_value()) return std::nullopt;
   signal_events_[static_cast<int>(event->signal)].fetch_add(
@@ -370,10 +341,6 @@ std::optional<HealthEvent> ServingEngine::PollHealth() {
     gen_ = target;
   }
   {
-    std::lock_guard<std::mutex> lock(drift_mu_);
-    drift_monitor_.Reset();
-  }
-  {
     std::lock_guard<std::mutex> lock(health_mu_);
     health_monitor_.Reset();
   }
@@ -381,11 +348,6 @@ std::optional<HealthEvent> ServingEngine::PollHealth() {
   event->rolled_back = true;
   event->rolled_back_to = target->id;
   return event;
-}
-
-bool ServingEngine::drift_armed() const {
-  std::lock_guard<std::mutex> lock(drift_mu_);
-  return drift_monitor_.armed();
 }
 
 bool ServingEngine::health_armed(HealthSignal signal) const {
@@ -478,6 +440,9 @@ EngineStats ServingEngine::Stats() const {
           std::memory_order_relaxed);
   total.alert_rate_events =
       signal_events_[static_cast<int>(HealthSignal::kAlertRate)].load(
+          std::memory_order_relaxed);
+  total.drift_events =
+      signal_events_[static_cast<int>(HealthSignal::kDrift)].load(
           std::memory_order_relaxed);
   return total;
 }

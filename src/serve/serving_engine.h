@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "core/ensemble.h"
-#include "serve/drift_monitor.h"
 #include "serve/generation.h"
 #include "serve/health_monitor.h"
 #include "serve/shard.h"
@@ -83,11 +82,12 @@ struct ServeConfig {
   /// and benchmark checksum exactly as before; kSpot requires the engine
   /// to be constructed with SPOT init params.
   core::ThresholdPolicy threshold_policy = core::ThresholdPolicy::kStatic;
-  /// Drift -> repair escalation (serve/drift_monitor.h,
-  /// docs/operations.md): PollDrift emits a RepairRequest once the drift
-  /// statistic exceeds this. <= 0 (the default) disables the monitor.
+  /// Drift -> repair escalation (serve/health_monitor.h,
+  /// docs/operations.md): PollHealth emits a kDrift event once the drift
+  /// statistic exceeds this. <= 0 (the default) turns the drift signal off;
+  /// it does not need health.enabled.
   double drift_threshold = 0.0;
-  /// Hysteresis: the monitor re-arms once drift falls below this.
+  /// Hysteresis: the drift signal re-arms once drift falls below this.
   /// <= 0 means drift_threshold / 2.
   double drift_clear = 0.0;
   /// Unsupervised model-health validation, canary reloads, and automatic
@@ -183,38 +183,33 @@ class ServingEngine {
   /// Degraded mode: if the candidate fails to load or validate, the
   /// engine KEEPS SERVING the current generation untouched and returns a
   /// descriptive error (failed_reloads counts it). A REJECTED reload also
-  /// re-arms the drift and health monitors: the excursion that prompted
-  /// the repair attempt is still live, and each failed attempt should
-  /// produce a fresh advisory rather than silence
-  /// (tests/drift_monitor_test.cc pins this). Concurrent reloads are
-  /// serialized; the engine always converges to exactly one live
-  /// generation (the last successful swap wins). Returns the new
-  /// generation id on success.
+  /// re-arms every monitor signal: the excursion that prompted the repair
+  /// attempt is still live, and each failed attempt should produce a fresh
+  /// advisory rather than silence (tests/hot_swap_test.cc pins this).
+  /// Concurrent reloads are serialized; the engine always converges to
+  /// exactly one live generation (the last successful swap wins). Returns
+  /// the new generation id on success.
   StatusOr<int64_t> ReloadArtifact(const std::string& path);
 
   /// \brief The live generation id (1 = the construction-time ensemble).
   int64_t generation() const;
 
-  /// \brief Feed the current drift statistic (Stats().drift) to the
-  /// engine's DriftMonitor. Returns a RepairRequest the first time drift
-  /// exceeds ServeConfig::drift_threshold, then nothing until that
-  /// excursion clears (hysteresis) or a reload resets the monitor. Always
-  /// nullopt when drift_threshold <= 0. Thread-safe; call it from the
-  /// same cadence as FlushIfExpired.
-  std::optional<RepairRequest> PollDrift();
-
-  /// \brief Feed the current health gauges (Stats()) to the engine's
-  /// HealthMonitor. Returns a HealthEvent the first time a signal crosses
-  /// its threshold, then nothing until that signal clears (per-signal
-  /// hysteresis). When the verdict is kModelDegradation and the live
-  /// generation is inside its probation window, the engine AUTOMATICALLY
-  /// rolls back to the last-known-good generation — shard by shard, under
-  /// the reload lock, restoring the retained generation with its ORIGINAL
-  /// id — and marks the event rolled_back. Outside probation a
-  /// degradation event is advisory only (the operator decides). Always
-  /// nullopt when health is off. Thread-safe; call it from the same
-  /// cadence as FlushIfExpired / PollDrift.
+  /// \brief Feed one Stats() snapshot to the engine's HealthMonitor.
+  /// Returns a HealthEvent the first time a signal crosses its threshold,
+  /// then nothing until that signal clears (per-signal hysteresis). When
+  /// the verdict is kModelDegradation and the live generation is inside
+  /// its probation window, the engine AUTOMATICALLY rolls back to the
+  /// last-known-good generation — shard by shard, under the reload lock,
+  /// restoring the retained generation with its ORIGINAL id — and marks
+  /// the event rolled_back. Outside probation a degradation event is
+  /// advisory only (the operator decides). Always nullopt when every
+  /// signal is off (health off and drift_threshold <= 0). Thread-safe;
+  /// call it from the same cadence as FlushIfExpired.
   std::optional<HealthEvent> PollHealth();
+
+  /// \brief Forwards to PollHealth. Exists only for
+  /// benchmark/src/trace.cc, which still calls it; nothing else may.
+  std::optional<HealthEvent> PollDrift();
 
   /// \brief Test hook (tests/fault_injection_test.cc): wires fault
   /// injection into artifact loads and flush scoring. Call before
@@ -235,10 +230,9 @@ class ServingEngine {
   /// docs/operations.md.
   EngineStats Stats() const;
 
-  /// \brief Monitor armed-state accessors, exposed so tests can pin the
+  /// \brief Monitor armed-state accessor, exposed so tests can pin the
   /// reset/re-arm protocol around rejected reloads and rollbacks
-  /// (tests/drift_monitor_test.cc); not meant for production decisions.
-  bool drift_armed() const;
+  /// (tests/hot_swap_test.cc); not meant for production decisions.
   bool health_armed(HealthSignal signal) const;
   /// \brief Whether the live generation is still inside its probation
   /// window (always false with health off).
@@ -291,16 +285,12 @@ class ServingEngine {
   FaultInjector* fault_ = nullptr;  // test hook; null in production
   std::atomic<int64_t> reloads_ok_{0};
   std::atomic<int64_t> reloads_failed_{0};
-  // Drift -> repair escalation, guarded by its own mutex (PollDrift may
-  // race Stats readers and reload resets).
-  mutable std::mutex drift_mu_;
-  DriftMonitor drift_monitor_;
-  // Model-health escalation + probation state, guarded by health_mu_.
-  // Lock order: reload_mu_ (when held at all) strictly before any of
-  // gen_mu_ / drift_mu_ / health_mu_, which are leaf locks taken one at a
-  // time and never nested into each other while another is held — except
-  // that PollHealth reads gen_ via CurrentGeneration() before taking
-  // health_mu_, never after.
+  // Drift + model-health escalation and probation state, guarded by
+  // health_mu_. Lock order (docs/serving.md): reload_mu_ (when held at all)
+  // strictly before any of gen_mu_ / health_mu_ / a shard mutex, which are
+  // leaf locks taken one at a time and never nested into each other while
+  // another is held — except that PollHealth reads gen_ via
+  // CurrentGeneration() before taking health_mu_, never after.
   mutable std::mutex health_mu_;
   HealthMonitor health_monitor_;
   // Last-known-good generation, retained for automatic rollback. Starts

@@ -106,12 +106,14 @@ struct EngineStats {
   int64_t failed_reloads = 0;      // rejected candidates (old gen kept)
   int64_t canary_rejections = 0;   // subset rejected by shadow-scoring
   int64_t rollbacks = 0;           // automatic probation rollbacks
-  // Per-signal HealthMonitor firings since construction (engine-level,
-  // cumulative across generations; a rollback does not reset them).
+  // Per-signal HealthMonitor firings since construction, drift included
+  // (engine-level, cumulative across generations; a rollback does not
+  // reset them).
   int64_t score_shift_events = 0;
   int64_t dispersion_events = 0;
   int64_t non_finite_events = 0;
   int64_t alert_rate_events = 0;
+  int64_t drift_events = 0;
 };
 
 /// \brief Scores per shard the drift statistic is computed over. Small

@@ -1,8 +1,8 @@
 // Allocation-count instrumentation for the graph-free serving hot path:
 // global operator new/delete overrides count every heap allocation made by
 // this binary, and the test proves that steady-state ServingEngine scoring
-// (plan backend, sequential engine) performs ZERO heap allocations after
-// warm-up — the activation arenas, kernel scratch, pending-window pool, and
+// on the sequential engine performs ZERO heap allocations after warm-up —
+// the activation arenas, kernel scratch, pending-window pool, and
 // staging buffers are all grow-only, and the serial ParallelFor fast path
 // never type-erases its callable (docs/inference.md "Allocation budget").
 //
@@ -78,7 +78,6 @@ TEST(AllocCountTest, SteadyStateServingAllocatesNothing) {
 
   core::CaeEnsemble ensemble(config);
   ASSERT_TRUE(ensemble.Fit(testutil::PlantedSeries(96, dims, 4)).ok());
-  ASSERT_EQ(ensemble.scoring_backend(), core::ScoringBackend::kPlan);
 
   serve::ServeConfig serve_config;
   serve_config.max_batch = 4;

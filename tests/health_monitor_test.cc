@@ -1,9 +1,11 @@
 // Model-health validation units: the HealthRef calibration contract
 // (core/health.h — histogram binning, total-variation distance,
 // validation of untrusted artifact bytes) and the HealthMonitor's
-// per-signal hysteresis (serve/health_monitor.h — one event per
-// excursion per signal, severity-ordered single event per update,
-// drift-vs-degradation classification, cold-start silence).
+// per-signal hysteresis over its five signals (serve/health_monitor.h —
+// one event per excursion per signal, severity-ordered single event per
+// update, drift-vs-degradation classification, per-signal windows and
+// enablement, cold-start silence). The drift signal's own hysteresis,
+// with the four health signals off, is pinned in drift_monitor_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -142,6 +144,8 @@ TEST(HealthRefTest, ValidationCatchesCorruptFields) {
 // HealthMonitor.
 // --------------------------------------------------------------------------
 
+constexpr double kDriftThreshold = 0.1;
+
 serve::HealthConfig MonitorConfig() {
   serve::HealthConfig config;
   config.enabled = true;
@@ -153,47 +157,60 @@ serve::HealthConfig MonitorConfig() {
   return config;
 }
 
-serve::HealthSnapshot Healthy(int64_t window = 256) {
-  serve::HealthSnapshot snapshot;
-  snapshot.window = window;
-  snapshot.score_shift = 0.05;
-  snapshot.dispersion_ratio = 1.0;
-  snapshot.non_finite_rate = 0.0;
-  snapshot.alert_rate = 0.05;
-  return snapshot;
+serve::HealthMonitor Monitor(const serve::HealthConfig& config) {
+  return serve::HealthMonitor(config, kDriftThreshold, /*drift_clear=*/0.0);
+}
+
+serve::EngineStats Healthy() {
+  serve::EngineStats stats;
+  stats.generation = 1;
+  stats.health_window = 256;
+  stats.score_shift = 0.05;
+  stats.dispersion_ratio = 1.0;
+  stats.non_finite_rate = 0.0;
+  stats.alert_rate = 0.05;
+  stats.drift_window = 256;
+  stats.drift = 0.02;
+  return stats;
 }
 
 TEST(HealthMonitorTest, DisabledMonitorNeverFires) {
   serve::HealthConfig config = MonitorConfig();
   config.enabled = false;
-  serve::HealthMonitor monitor(config);
+  serve::HealthMonitor monitor(config, /*drift_threshold=*/0.0, 0.0);
   EXPECT_FALSE(monitor.enabled());
-  serve::HealthSnapshot bad = Healthy();
+  serve::EngineStats bad = Healthy();
   bad.non_finite_rate = 1.0;
   bad.score_shift = 1.0;
+  bad.drift = 1.0;
   for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(monitor.Update(1, bad).has_value());
+    EXPECT_FALSE(monitor.Update(bad).has_value());
   }
 }
 
 TEST(HealthMonitorTest, ColdStartWindowIsIgnored) {
-  serve::HealthMonitor monitor(MonitorConfig());
-  serve::HealthSnapshot bad = Healthy(/*window=*/8);
+  serve::HealthMonitor monitor = Monitor(MonitorConfig());
+  serve::EngineStats bad = Healthy();
   bad.score_shift = 0.99;  // a near-empty ring reads as extreme shift
-  EXPECT_FALSE(monitor.Update(1, bad).has_value());
-  bad.window = 63;
-  EXPECT_FALSE(monitor.Update(1, bad).has_value());
-  bad.window = 64;
-  EXPECT_TRUE(monitor.Update(1, bad).has_value());
+  bad.health_window = 8;
+  EXPECT_FALSE(monitor.Update(bad).has_value());
+  bad.health_window = 63;
+  EXPECT_FALSE(monitor.Update(bad).has_value());
+  bad.health_window = 64;
+  const auto fired = monitor.Update(bad);
+  ASSERT_TRUE(fired.has_value());
+  EXPECT_EQ(fired->signal, serve::HealthSignal::kScoreShift);
 }
 
 TEST(HealthMonitorTest, ClassificationSplitsDriftFromDegradation) {
-  // Shift and alert-rate runaway mean the DATA changed (repair can fix
-  // it); non-finite scores and member-agreement collapse mean the MODEL
-  // is broken (rollback territory).
+  // Shift, alert-rate runaway and SPOT drift mean the DATA changed (repair
+  // can fix it); non-finite scores and member-agreement collapse mean the
+  // MODEL is broken (rollback territory).
   EXPECT_EQ(serve::ClassifyHealthSignal(serve::HealthSignal::kScoreShift),
             serve::HealthVerdict::kDataDrift);
   EXPECT_EQ(serve::ClassifyHealthSignal(serve::HealthSignal::kAlertRate),
+            serve::HealthVerdict::kDataDrift);
+  EXPECT_EQ(serve::ClassifyHealthSignal(serve::HealthSignal::kDrift),
             serve::HealthVerdict::kDataDrift);
   EXPECT_EQ(serve::ClassifyHealthSignal(serve::HealthSignal::kNonFiniteRate),
             serve::HealthVerdict::kModelDegradation);
@@ -202,12 +219,13 @@ TEST(HealthMonitorTest, ClassificationSplitsDriftFromDegradation) {
 }
 
 TEST(HealthMonitorTest, FiresOncePerExcursionWithEventFields) {
-  serve::HealthMonitor monitor(MonitorConfig());
-  EXPECT_FALSE(monitor.Update(3, Healthy()).has_value());
+  serve::HealthMonitor monitor = Monitor(MonitorConfig());
+  serve::EngineStats stats = Healthy();
+  stats.generation = 3;
+  EXPECT_FALSE(monitor.Update(stats).has_value());
 
-  serve::HealthSnapshot shifted = Healthy();
-  shifted.score_shift = 0.45;
-  const auto fired = monitor.Update(3, shifted);
+  stats.score_shift = 0.45;
+  const auto fired = monitor.Update(stats);
   ASSERT_TRUE(fired.has_value());
   EXPECT_EQ(fired->signal, serve::HealthSignal::kScoreShift);
   EXPECT_EQ(fired->verdict, serve::HealthVerdict::kDataDrift);
@@ -217,88 +235,100 @@ TEST(HealthMonitorTest, FiresOncePerExcursionWithEventFields) {
   EXPECT_EQ(fired->window, 256);
   EXPECT_FALSE(fired->rolled_back);
 
-  // Disarmed: staying high, or dipping between clear and threshold, must
-  // not re-fire — one event per excursion.
-  EXPECT_FALSE(monitor.Update(3, shifted).has_value());
-  shifted.score_shift = 0.2;  // clear defaults to threshold/2 = 0.15
-  EXPECT_FALSE(monitor.Update(3, shifted).has_value());
-  shifted.score_shift = 0.5;
-  EXPECT_FALSE(monitor.Update(3, shifted).has_value());
+  // Disarmed: staying high, dipping between clear and threshold, or
+  // sitting exactly at the clear level (threshold / 2) must not re-fire
+  // — one event per excursion.
+  EXPECT_FALSE(monitor.Update(stats).has_value());
+  for (const double shift : {0.21, 0.15, 0.51}) {
+    stats.score_shift = shift;
+    EXPECT_FALSE(monitor.Update(stats).has_value()) << shift;
+    EXPECT_FALSE(monitor.armed(serve::HealthSignal::kScoreShift)) << shift;
+  }
 
-  // Strictly below the clear level: re-armed, next excursion fires again.
-  shifted.score_shift = 0.1;
-  EXPECT_FALSE(monitor.Update(3, shifted).has_value());
+  // Strictly below the clear level: re-armed (the re-arming update
+  // itself never fires), and the next excursion fires again.
+  stats.score_shift = 0.09;
+  EXPECT_FALSE(monitor.Update(stats).has_value());
   EXPECT_TRUE(monitor.armed(serve::HealthSignal::kScoreShift));
-  shifted.score_shift = 0.5;
-  EXPECT_TRUE(monitor.Update(3, shifted).has_value());
+  stats.score_shift = 0.51;
+  EXPECT_TRUE(monitor.Update(stats).has_value());
 }
 
 TEST(HealthMonitorTest, MostSevereSignalWinsAndOthersKeepTheirState) {
-  serve::HealthMonitor monitor(MonitorConfig());
+  serve::HealthMonitor monitor = Monitor(MonitorConfig());
   // Everything bad at once: the single event is the most severe signal
   // (non-finite rate), and the others stay ARMED — they fire on later
-  // updates, so nothing is silently swallowed.
-  serve::HealthSnapshot bad = Healthy();
+  // updates in check order, drift last, so nothing is silently swallowed.
+  serve::EngineStats bad = Healthy();
   bad.non_finite_rate = 0.5;
   bad.dispersion_ratio = 10.0;
   bad.score_shift = 0.9;
   bad.alert_rate = 0.9;
-  const auto first = monitor.Update(1, bad);
+  bad.drift = 0.9;
+  const auto first = monitor.Update(bad);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->signal, serve::HealthSignal::kNonFiniteRate);
   EXPECT_EQ(first->verdict, serve::HealthVerdict::kModelDegradation);
 
-  const auto second = monitor.Update(1, bad);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->signal, serve::HealthSignal::kDispersion);
-  const auto third = monitor.Update(1, bad);
-  ASSERT_TRUE(third.has_value());
-  EXPECT_EQ(third->signal, serve::HealthSignal::kScoreShift);
-  const auto fourth = monitor.Update(1, bad);
-  ASSERT_TRUE(fourth.has_value());
-  EXPECT_EQ(fourth->signal, serve::HealthSignal::kAlertRate);
+  for (const serve::HealthSignal next :
+       {serve::HealthSignal::kDispersion, serve::HealthSignal::kScoreShift,
+        serve::HealthSignal::kAlertRate, serve::HealthSignal::kDrift}) {
+    const auto event = monitor.Update(bad);
+    ASSERT_TRUE(event.has_value());
+    EXPECT_EQ(event->signal, next);
+  }
   // Every signal disarmed: silence until something clears.
-  EXPECT_FALSE(monitor.Update(1, bad).has_value());
+  EXPECT_FALSE(monitor.Update(bad).has_value());
 }
 
 TEST(HealthMonitorTest, PerSignalHysteresisIsIndependent) {
-  serve::HealthMonitor monitor(MonitorConfig());
-  serve::HealthSnapshot snapshot = Healthy();
-  snapshot.score_shift = 0.5;
-  ASSERT_TRUE(monitor.Update(1, snapshot).has_value());
+  serve::HealthMonitor monitor = Monitor(MonitorConfig());
+  serve::EngineStats stats = Healthy();
+  stats.score_shift = 0.5;
+  ASSERT_TRUE(monitor.Update(stats).has_value());
 
-  // The shift excursion is still in progress when the alert rate spikes:
-  // the alert signal has its own hysteresis and fires immediately.
-  snapshot.alert_rate = 0.8;
-  const auto fired = monitor.Update(1, snapshot);
-  ASSERT_TRUE(fired.has_value());
-  EXPECT_EQ(fired->signal, serve::HealthSignal::kAlertRate);
+  // The shift excursion is still in progress when the alert rate and then
+  // the drift spike: each has its own hysteresis and fires at once.
+  stats.alert_rate = 0.8;
+  const auto alert = monitor.Update(stats);
+  ASSERT_TRUE(alert.has_value());
+  EXPECT_EQ(alert->signal, serve::HealthSignal::kAlertRate);
+  stats.drift = 0.5;
+  const auto drift = monitor.Update(stats);
+  ASSERT_TRUE(drift.has_value());
+  EXPECT_EQ(drift->signal, serve::HealthSignal::kDrift);
 
-  // Shift clears and re-fires while alert stays disarmed.
-  snapshot.score_shift = 0.05;
-  EXPECT_FALSE(monitor.Update(1, snapshot).has_value());
-  snapshot.score_shift = 0.5;
-  const auto again = monitor.Update(1, snapshot);
+  // Shift clears and re-fires while alert and drift stay disarmed.
+  stats.score_shift = 0.05;
+  EXPECT_FALSE(monitor.Update(stats).has_value());
+  stats.score_shift = 0.5;
+  const auto again = monitor.Update(stats);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->signal, serve::HealthSignal::kScoreShift);
+  EXPECT_FALSE(monitor.Update(stats).has_value());
 }
 
 TEST(HealthMonitorTest, ResetReArmsEverySignal) {
-  serve::HealthMonitor monitor(MonitorConfig());
-  serve::HealthSnapshot bad = Healthy();
+  serve::HealthMonitor monitor = Monitor(MonitorConfig());
+  serve::EngineStats bad = Healthy();
   bad.non_finite_rate = 0.5;
   bad.score_shift = 0.9;
-  ASSERT_TRUE(monitor.Update(1, bad).has_value());  // non-finite
-  ASSERT_TRUE(monitor.Update(1, bad).has_value());  // shift
+  bad.drift = 0.9;
+  ASSERT_TRUE(monitor.Update(bad).has_value());  // non-finite
+  ASSERT_TRUE(monitor.Update(bad).has_value());  // shift
+  ASSERT_TRUE(monitor.Update(bad).has_value());  // drift
   EXPECT_FALSE(monitor.armed(serve::HealthSignal::kNonFiniteRate));
   EXPECT_FALSE(monitor.armed(serve::HealthSignal::kScoreShift));
+  EXPECT_FALSE(monitor.armed(serve::HealthSignal::kDrift));
 
-  // A swap or rollback installs a new generation: fresh excursion
-  // accounting even though the gauges never dipped.
+  // A swap, a rejected reload or a rollback: fresh excursion accounting
+  // even though the gauges never dipped.
   monitor.Reset();
   EXPECT_TRUE(monitor.armed(serve::HealthSignal::kNonFiniteRate));
   EXPECT_TRUE(monitor.armed(serve::HealthSignal::kScoreShift));
-  const auto fired = monitor.Update(2, bad);
+  EXPECT_TRUE(monitor.armed(serve::HealthSignal::kDrift));
+  bad.generation = 2;
+  const auto fired = monitor.Update(bad);
   ASSERT_TRUE(fired.has_value());
   EXPECT_EQ(fired->generation, 2);
 }
@@ -306,21 +336,77 @@ TEST(HealthMonitorTest, ResetReArmsEverySignal) {
 TEST(HealthMonitorTest, ExplicitClearLevelsOverrideTheHalfDefault) {
   serve::HealthConfig config = MonitorConfig();
   config.shift_clear = 0.25;
-  serve::HealthMonitor monitor(config);
+  serve::HealthMonitor monitor = Monitor(config);
   EXPECT_EQ(monitor.clear_level(serve::HealthSignal::kScoreShift), 0.25);
-  // Unset clears keep the DriftMonitor convention: half the threshold.
+  // Unset clears default to half the threshold.
   EXPECT_EQ(monitor.clear_level(serve::HealthSignal::kAlertRate), 0.25);
   EXPECT_EQ(monitor.clear_level(serve::HealthSignal::kDispersion), 2.0);
 
-  serve::HealthSnapshot snapshot = Healthy();
-  snapshot.score_shift = 0.5;
-  ASSERT_TRUE(monitor.Update(1, snapshot).has_value());
-  snapshot.score_shift = 0.26;  // above the explicit clear: still disarmed
-  EXPECT_FALSE(monitor.Update(1, snapshot).has_value());
+  serve::EngineStats stats = Healthy();
+  stats.score_shift = 0.5;
+  ASSERT_TRUE(monitor.Update(stats).has_value());
+  stats.score_shift = 0.26;  // above the explicit clear: still disarmed
+  EXPECT_FALSE(monitor.Update(stats).has_value());
   EXPECT_FALSE(monitor.armed(serve::HealthSignal::kScoreShift));
-  snapshot.score_shift = 0.24;  // strictly below: re-armed
-  EXPECT_FALSE(monitor.Update(1, snapshot).has_value());
+  stats.score_shift = 0.24;  // strictly below: re-armed
+  EXPECT_FALSE(monitor.Update(stats).has_value());
   EXPECT_TRUE(monitor.armed(serve::HealthSignal::kScoreShift));
+}
+
+// Each signal is judged over its own window: drift over the drift rings,
+// the four gauges over the health rings. A short window silences only the
+// signals it backs, and a disarmed signal neither fires nor re-arms while
+// its window is short.
+TEST(HealthMonitorTest, EachSignalIsJudgedOverItsOwnWindow) {
+  serve::HealthMonitor monitor = Monitor(MonitorConfig());
+  serve::EngineStats stats = Healthy();
+  stats.score_shift = 0.9;
+  stats.drift = 0.9;
+  stats.health_window = 8;  // health rings still cold
+  const auto drift = monitor.Update(stats);
+  ASSERT_TRUE(drift.has_value());
+  EXPECT_EQ(drift->signal, serve::HealthSignal::kDrift);
+  EXPECT_FALSE(monitor.Update(stats).has_value());
+
+  stats.health_window = 256;
+  stats.drift_window = 8;  // now the drift rings are cold
+  stats.drift = 0.0;       // would re-arm drift over a trusted window
+  const auto shift = monitor.Update(stats);
+  ASSERT_TRUE(shift.has_value());
+  EXPECT_EQ(shift->signal, serve::HealthSignal::kScoreShift);
+  EXPECT_EQ(shift->window, 256);
+  EXPECT_FALSE(monitor.armed(serve::HealthSignal::kDrift));
+}
+
+// Drift is on iff its threshold is > 0, whatever health.enabled says; the
+// four health signals are on iff health.enabled.
+TEST(HealthMonitorTest, EachSignalIsEnabledOnItsOwn) {
+  serve::EngineStats bad = Healthy();
+  bad.non_finite_rate = 0.5;
+  bad.dispersion_ratio = 10.0;
+  bad.score_shift = 0.9;
+  bad.alert_rate = 0.9;
+  bad.drift = 0.9;
+
+  serve::HealthConfig off = MonitorConfig();
+  off.enabled = false;
+  serve::HealthMonitor drift_only(off, kDriftThreshold, 0.0);
+  EXPECT_TRUE(drift_only.enabled());
+  const auto drift = drift_only.Update(bad);
+  ASSERT_TRUE(drift.has_value());
+  EXPECT_EQ(drift->signal, serve::HealthSignal::kDrift);
+  EXPECT_FALSE(drift_only.Update(bad).has_value());
+
+  serve::HealthMonitor health_only(MonitorConfig(), /*drift_threshold=*/0.0,
+                                   0.0);
+  EXPECT_TRUE(health_only.enabled());
+  for (int i = 0; i < 4; ++i) {
+    const auto event = health_only.Update(bad);
+    ASSERT_TRUE(event.has_value());
+    EXPECT_NE(event->signal, serve::HealthSignal::kDrift);
+  }
+  EXPECT_FALSE(health_only.Update(bad).has_value());
+  EXPECT_TRUE(health_only.armed(serve::HealthSignal::kDrift));
 }
 
 TEST(HealthMonitorTest, NamesAreStableForOperatorOutput) {
@@ -332,6 +418,7 @@ TEST(HealthMonitorTest, NamesAreStableForOperatorOutput) {
                "non-finite-rate");
   EXPECT_STREQ(serve::HealthSignalName(serve::HealthSignal::kAlertRate),
                "alert-rate");
+  EXPECT_STREQ(serve::HealthSignalName(serve::HealthSignal::kDrift), "drift");
   EXPECT_STREQ(serve::HealthVerdictName(serve::HealthVerdict::kDataDrift),
                "data-drift");
   EXPECT_STREQ(

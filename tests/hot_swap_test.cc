@@ -382,18 +382,18 @@ TEST_F(HotSwapTest, CanaryRejectionLeavesScoresBitwiseUntouched) {
   EXPECT_TRUE(engine.in_probation());
 }
 
-// Satellite audit (docs/operations.md "After a rejected reload"): a
-// rejected reload re-arms BOTH monitors. The rejection proves the live
-// excursion was judged against a candidate that never took over — the
-// incident is still unresolved, and whatever replaces the candidate next
-// deserves a fresh firing, not a monitor that stays disarmed from an
-// excursion accounted to a reload that never happened.
-TEST_F(HotSwapTest, RejectedReloadReArmsDriftAndHealthMonitors) {
+// docs/operations.md "After a rejected reload": a rejected reload re-arms
+// every monitor signal. The rejection proves the live excursion was judged
+// against a candidate that never took over — the incident is still
+// unresolved, and whatever replaces the candidate next deserves a fresh
+// firing, not a signal that stays disarmed from an excursion accounted to
+// a reload that never happened.
+TEST_F(HotSwapTest, RejectedReloadReArmsDriftAndHealthSignals) {
   const auto series = testutil::PlantedSeries(100, 2, 7);
 
   // SPOT with the calibration threshold forced to 0: every (positive)
   // score is an exceed, the drift statistic pins at |1.0 - (1 - level)| =
-  // 0.8, and the drift monitor deterministically fires.
+  // 0.8, and the drift signal deterministically fires.
   core::SpotInit spot_a = CalibratedSpot(ensemble_a_.get(), train_);
   spot_a.t = 0.0;
   // Health reference scaled 1000x off: every live score lands in the
@@ -417,15 +417,18 @@ TEST_F(HotSwapTest, RejectedReloadReArmsDriftAndHealthMonitors) {
   }
   ASSERT_TRUE(engine.Flush(&results).ok());
 
-  // Both monitors fire once, then disarm (hysteresis).
-  ASSERT_TRUE(engine.PollDrift().has_value());
-  ASSERT_FALSE(engine.drift_armed());
-  const auto health = engine.PollHealth();
-  ASSERT_TRUE(health.has_value());
-  EXPECT_EQ(health->signal, serve::HealthSignal::kScoreShift);
-  EXPECT_FALSE(health->rolled_back);
+  // Both signals fire once — one event per poll, score shift before
+  // drift in check order — then stay disarmed (hysteresis).
+  const auto shift = engine.PollHealth();
+  ASSERT_TRUE(shift.has_value());
+  EXPECT_EQ(shift->signal, serve::HealthSignal::kScoreShift);
+  EXPECT_FALSE(shift->rolled_back);
+  const auto drift = engine.PollHealth();
+  ASSERT_TRUE(drift.has_value());
+  EXPECT_EQ(drift->signal, serve::HealthSignal::kDrift);
+  EXPECT_EQ(drift->verdict, serve::HealthVerdict::kDataDrift);
   ASSERT_FALSE(engine.health_armed(serve::HealthSignal::kScoreShift));
-  EXPECT_FALSE(engine.PollDrift().has_value());
+  ASSERT_FALSE(engine.health_armed(serve::HealthSignal::kDrift));
   EXPECT_FALSE(engine.PollHealth().has_value());
 
   // A canary-rejected candidate (same 1000x-off reference, judged against
@@ -441,12 +444,99 @@ TEST_F(HotSwapTest, RejectedReloadReArmsDriftAndHealthMonitors) {
       << swapped.status();
   EXPECT_EQ(engine.generation(), 1);
 
-  EXPECT_TRUE(engine.drift_armed());
   EXPECT_TRUE(engine.health_armed(serve::HealthSignal::kScoreShift));
-  // The still-live excursion fires again on the next poll — the actual
+  EXPECT_TRUE(engine.health_armed(serve::HealthSignal::kDrift));
+  // The still-live excursions fire again on the next polls — the actual
   // point of re-arming.
-  EXPECT_TRUE(engine.PollDrift().has_value());
-  EXPECT_TRUE(engine.PollHealth().has_value());
+  const auto shift_again = engine.PollHealth();
+  ASSERT_TRUE(shift_again.has_value());
+  EXPECT_EQ(shift_again->signal, serve::HealthSignal::kScoreShift);
+  const auto drift_again = engine.PollHealth();
+  ASSERT_TRUE(drift_again.has_value());
+  EXPECT_EQ(drift_again->signal, serve::HealthSignal::kDrift);
+  EXPECT_EQ(engine.Stats().score_shift_events, 2);
+  EXPECT_EQ(engine.Stats().drift_events, 2);
+}
+
+// Drift needs no --health: with health off and drift_threshold > 0 the
+// drift signal alone is on. It fires once per excursion, stays quiet while
+// the excursion lasts, and fires again after a rejected reload.
+TEST_F(HotSwapTest, DriftAlertsWithHealthOff) {
+  const auto series = testutil::PlantedSeries(100, 2, 7);
+  core::SpotInit spot = CalibratedSpot(ensemble_a_.get(), train_);
+  spot.t = 0.0;  // every score exceeds: drift pins at 0.8
+
+  serve::ServeConfig config;
+  config.max_batch = 4;
+  config.flush_deadline_ms = 0;
+  config.drift_threshold = 0.15;
+  ASSERT_FALSE(config.health.enabled);
+  serve::ServingEngine engine(ensemble_a_.get(), config, 1e300, spot);
+  ASSERT_TRUE(engine.OpenStream(1).ok());
+  std::vector<serve::StreamScore> results;
+  for (int64_t t = 0; t < series.length(); ++t) {
+    ASSERT_TRUE(engine.Push(1, Row(series, t), &results).ok());
+  }
+  ASSERT_TRUE(engine.Flush(&results).ok());
+  ASSERT_GE(engine.Stats().drift_window, config.health.min_window);
+
+  const auto fired = engine.PollHealth();
+  ASSERT_TRUE(fired.has_value());
+  EXPECT_EQ(fired->signal, serve::HealthSignal::kDrift);
+  EXPECT_EQ(fired->verdict, serve::HealthVerdict::kDataDrift);
+  EXPECT_EQ(fired->generation, 1);
+  EXPECT_EQ(fired->value, engine.Stats().drift);
+  EXPECT_EQ(fired->threshold, 0.15);
+  EXPECT_FALSE(fired->rolled_back);
+
+  // Still excursed: quiet, however often it is polled or scored.
+  for (int64_t t = 0; t < 12; ++t) {
+    ASSERT_TRUE(engine.Push(1, Row(series, t), &results).ok());
+    EXPECT_FALSE(engine.PollHealth().has_value()) << "poll " << t;
+  }
+
+  // A rejected reload (the path does not exist) re-arms it.
+  ASSERT_FALSE(engine.ReloadArtifact(TempPath("no_such_artifact.caee")).ok());
+  EXPECT_EQ(engine.generation(), 1);
+  const auto again = engine.PollHealth();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->signal, serve::HealthSignal::kDrift);
+  EXPECT_FALSE(engine.PollHealth().has_value());
+  EXPECT_EQ(engine.Stats().drift_events, 2);
+}
+
+// The converse: health on and drift off never emits a drift event, even
+// while the drift statistic reads far past any sensible threshold.
+TEST_F(HotSwapTest, HealthWithDriftOffNeverEmitsDrift) {
+  const auto series = testutil::PlantedSeries(100, 2, 7);
+  core::SpotInit spot = CalibratedSpot(ensemble_a_.get(), train_);
+  spot.t = 0.0;
+
+  serve::ServeConfig config;
+  config.max_batch = 4;
+  config.flush_deadline_ms = 0;
+  config.health.enabled = true;
+  config.health.min_window = 8;
+  serve::ServingEngine engine(
+      ensemble_a_.get(), config, 1e300, spot,
+      CalibratedHealth(ensemble_a_.get(), train_, /*score_scale=*/1000.0));
+  ASSERT_TRUE(engine.OpenStream(1).ok());
+  std::vector<serve::StreamScore> results;
+  for (int64_t t = 0; t < series.length(); ++t) {
+    ASSERT_TRUE(engine.Push(1, Row(series, t), &results).ok());
+  }
+  ASSERT_TRUE(engine.Flush(&results).ok());
+  ASSERT_GT(engine.Stats().drift, 0.5);
+
+  int64_t events = 0;
+  for (int poll = 0; poll < 8; ++poll) {
+    if (const auto event = engine.PollHealth(); event.has_value()) {
+      ++events;
+      EXPECT_NE(event->signal, serve::HealthSignal::kDrift);
+    }
+  }
+  EXPECT_GE(events, 1) << "the score-shift signal should have fired";
+  EXPECT_EQ(engine.Stats().drift_events, 0);
 }
 
 TEST_F(HotSwapTest, RollbackMidStreamIsBitwisePerGeneration) {
@@ -508,10 +598,10 @@ TEST_F(HotSwapTest, RollbackMidStreamIsBitwisePerGeneration) {
   EXPECT_FALSE(engine.in_probation());
   EXPECT_EQ(engine.Stats().rollbacks, 1);
   EXPECT_EQ(engine.Stats().dispersion_events, 1);
-  // Rollback re-arms the monitor (satellite audit): the signal that just
-  // fired is armed again for the restored generation.
+  // Rollback re-arms every signal: the one that just fired is armed again
+  // for the restored generation.
   EXPECT_TRUE(engine.health_armed(serve::HealthSignal::kDispersion));
-  EXPECT_TRUE(engine.drift_armed());
+  EXPECT_TRUE(engine.health_armed(serve::HealthSignal::kDrift));
 
   for (; t < series.length(); ++t) {
     ASSERT_TRUE(engine.Push(1, Row(series, t), &results).ok());

@@ -1,22 +1,145 @@
-// Plan-vs-graph bitwise identity: the compiled forward plans (infer/plan.h)
-// must reproduce the autograd scoring paths bit for bit — same kernels,
-// same call order, same accumulation (docs/inference.md). Every comparison
-// here is EXPECT_EQ on doubles: any reassociation, fused step, or dropped
-// op in the plan executor fails loudly. golden_regression_test pins the
-// same contract against absolute constants.
+// Plan-vs-autograd bitwise identity: the compiled forward plans
+// (infer/plan.h), the ensemble's only scoring engine, must reproduce the
+// autograd module trees training runs bit for bit — same kernels, same call
+// order, same accumulation (docs/inference.md). The reference below is
+// built from code training keeps anyway (WindowEmbedding::Forward,
+// Cae::Reconstruct, WindowErrors, Median). Every comparison here is
+// EXPECT_EQ on doubles: any reassociation, fused step, or dropped op in the
+// plan executor fails loudly. golden_regression_test pins the same contract
+// against absolute constants.
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "autograd/variable.h"
+#include "core/diversity.h"
 #include "core/ensemble.h"
+#include "core/scoring.h"
 #include "core/streaming.h"
 #include "infer/arena.h"
 #include "serve/serving_engine.h"
 #include "test_util.h"
+#include "ts/window.h"
 
 namespace caee {
 namespace {
+
+// ---------------------------------------------------------------------------
+// The autograd reference.
+// ---------------------------------------------------------------------------
+
+// Embed a scaled (B, w, D) batch through the frozen embedding's module tree.
+Tensor Embed(const core::CaeEnsemble& ensemble, const Tensor& batch) {
+  return ensemble.embedding().Forward(ag::Constant(batch))->value();
+}
+
+Tensor Reconstruct(const core::CaeEnsemble& ensemble, int64_t member,
+                   const Tensor& x) {
+  return ensemble.model(member).Reconstruct(ag::Constant(x))->value();
+}
+
+// The ensemble's z-score of raw windows: per element, in double precision,
+// with the fitted scaler statistics.
+Tensor ScaleWindows(const core::CaeEnsemble& ensemble, const Tensor& windows) {
+  if (!ensemble.config().rescale_enabled) return windows;
+  const std::vector<double>& mean = ensemble.scaler().mean();
+  const std::vector<double>& stddev = ensemble.scaler().stddev();
+  const int64_t d = windows.dim(2);
+  Tensor scaled(windows.shape());
+  for (int64_t i = 0; i < windows.numel(); ++i) {
+    const size_t j = static_cast<size_t>(i % d);
+    scaled[i] = static_cast<float>((windows[i] - mean[j]) / stddev[j]);
+  }
+  return scaled;
+}
+
+// Last-position score (median of the member errors, Eq. 15) and member
+// dispersion (median absolute deviation around it, relative to it) of each
+// raw window in the batch.
+struct OnlineReference {
+  std::vector<double> scores;
+  std::vector<double> dispersions;
+};
+
+OnlineReference ReferenceScoreWindowsLast(const core::CaeEnsemble& ensemble,
+                                          const Tensor& windows) {
+  const Tensor x = Embed(ensemble, ScaleWindows(ensemble, windows));
+  std::vector<std::vector<std::vector<double>>> errors;
+  for (int64_t mi = 0; mi < ensemble.num_models(); ++mi) {
+    errors.push_back(core::WindowErrors(x, Reconstruct(ensemble, mi, x)));
+  }
+  OnlineReference ref;
+  for (int64_t b = 0; b < windows.dim(0); ++b) {
+    std::vector<double> column;
+    for (const auto& member : errors) {
+      column.push_back(member[static_cast<size_t>(b)].back());
+    }
+    const double med = core::Median(column);
+    std::vector<double> deviations;
+    for (const double e : column) deviations.push_back(std::fabs(e - med));
+    ref.scores.push_back(med);
+    ref.dispersions.push_back(core::Median(deviations) /
+                              std::max(med, 1e-12));
+  }
+  return ref;
+}
+
+// The offline scoring paths over `series`, batch by batch in the order the
+// ensemble walks them.
+struct OfflineReference {
+  std::vector<double> scores;
+  double mean_reconstruction_error = 0.0;
+  double diversity = 0.0;
+};
+
+OfflineReference ReferenceOffline(const core::CaeEnsemble& ensemble,
+                                  const ts::TimeSeries& series) {
+  const auto& config = ensemble.config();
+  const ts::TimeSeries scaled = config.rescale_enabled
+                                    ? ensemble.scaler().Transform(series)
+                                    : series;
+  const ts::WindowDataset dataset(scaled, config.window);
+  const auto batches = dataset.Batches(config.batch_size);
+  const int64_t m = ensemble.num_models();
+  std::vector<core::WindowScoreAssembler> assemblers(
+      static_cast<size_t>(m),
+      core::WindowScoreAssembler(dataset.num_windows(), config.window));
+  std::vector<double> partial(static_cast<size_t>(m) * batches.size());
+  core::DiversityAccumulator diversity(m);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const Tensor x = Embed(ensemble, dataset.GetBatch(batches[b]));
+    std::vector<Tensor> outputs;
+    for (int64_t mi = 0; mi < m; ++mi) {
+      const Tensor recon = Reconstruct(ensemble, mi, x);
+      outputs.push_back(recon);
+      const auto errors = core::WindowErrors(x, recon);
+      for (size_t bi = 0; bi < batches[b].size(); ++bi) {
+        assemblers[static_cast<size_t>(mi)].AddWindow(batches[b][bi],
+                                                      errors[bi]);
+      }
+      double acc = 0.0;
+      for (int64_t j = 0; j < x.numel(); ++j) {
+        const double d = static_cast<double>(x[j]) - recon[j];
+        acc += d * d;
+      }
+      partial[static_cast<size_t>(mi) * batches.size() + b] =
+          acc / static_cast<double>(x.numel());
+    }
+    diversity.AddBatch(outputs);
+  }
+  OfflineReference ref;
+  std::vector<std::vector<double>> per_model;
+  for (const auto& a : assemblers) per_model.push_back(a.Finalize());
+  ref.scores = core::MedianAcrossModels(per_model);
+  double total = 0.0;
+  for (const double p : partial) total += p;
+  ref.mean_reconstruction_error = total / static_cast<double>(partial.size());
+  ref.diversity = diversity.Value();
+  return ref;
+}
 
 core::EnsembleConfig SmallConfig() {
   core::EnsembleConfig config;
@@ -42,40 +165,46 @@ Tensor RandomWindows(int64_t batch, int64_t window, int64_t dims,
   return windows;
 }
 
-// Scores the same windows through both backends and demands equality to the
-// last bit, at every batch size and thread count the serving layer uses.
-void ExpectPlanMatchesGraph(core::CaeEnsemble* ensemble, int64_t dims,
-                            uint64_t seed) {
+// Scores the same windows through the plans and the autograd reference and
+// demands equality to the last bit, at every batch size and thread count
+// the serving layer uses.
+void ExpectPlanMatchesReference(core::CaeEnsemble* ensemble, int64_t dims,
+                                uint64_t seed) {
   for (const int64_t batch : {int64_t{1}, int64_t{3}, int64_t{16}}) {
     const Tensor windows =
         RandomWindows(batch, ensemble->config().window, dims, seed + batch);
+    const OnlineReference ref = ReferenceScoreWindowsLast(*ensemble, windows);
     for (const int64_t threads : {int64_t{1}, int64_t{4}}) {
       ensemble->set_num_threads(threads);
-      ensemble->set_scoring_backend(core::ScoringBackend::kPlan);
       auto plan = ensemble->ScoreWindowsLast(windows);
       ASSERT_TRUE(plan.ok()) << plan.status();
-      ensemble->set_scoring_backend(core::ScoringBackend::kGraph);
-      auto graph = ensemble->ScoreWindowsLast(windows);
-      ASSERT_TRUE(graph.ok()) << graph.status();
-      ensemble->set_scoring_backend(core::ScoringBackend::kPlan);
-      ASSERT_EQ(plan.value().size(), graph.value().size());
-      for (size_t b = 0; b < plan.value().size(); ++b) {
-        EXPECT_EQ(plan.value()[b], graph.value()[b])
+      std::vector<double> scores, dispersions;
+      ASSERT_TRUE(ensemble
+                      ->ScoreWindowsLastInto(windows.data(), batch, &scores,
+                                             &dispersions)
+                      .ok());
+      ASSERT_EQ(plan.value().size(), ref.scores.size());
+      ASSERT_EQ(dispersions.size(), ref.dispersions.size());
+      for (size_t b = 0; b < ref.scores.size(); ++b) {
+        EXPECT_EQ(plan.value()[b], ref.scores[b])
+            << "batch=" << batch << " threads=" << threads << " window " << b;
+        EXPECT_EQ(scores[b], ref.scores[b]);
+        EXPECT_EQ(dispersions[b], ref.dispersions[b])
             << "batch=" << batch << " threads=" << threads << " window " << b;
       }
     }
   }
 }
 
-TEST(InferPlanTest, MatchesGraphOnDefaultArchitecture) {
+TEST(InferPlanTest, MatchesReferenceOnDefaultArchitecture) {
   auto config = SmallConfig();
   const int64_t dims = 4;
   core::CaeEnsemble ensemble(config);
   ASSERT_TRUE(ensemble.Fit(testutil::PlantedSeries(96, dims, 5)).ok());
-  ExpectPlanMatchesGraph(&ensemble, dims, 100);
+  ExpectPlanMatchesReference(&ensemble, dims, 100);
 }
 
-TEST(InferPlanTest, MatchesGraphWithOddDimsAndDeepStack) {
+TEST(InferPlanTest, MatchesReferenceWithOddDimsAndDeepStack) {
   auto config = SmallConfig();
   config.cae.embed_dim = 7;  // odd embed dim: ragged GEMM edges everywhere
   config.cae.num_layers = 3;
@@ -84,20 +213,20 @@ TEST(InferPlanTest, MatchesGraphWithOddDimsAndDeepStack) {
   const int64_t dims = 5;
   core::CaeEnsemble ensemble(config);
   ASSERT_TRUE(ensemble.Fit(testutil::PlantedSeries(90, dims, 6)).ok());
-  ExpectPlanMatchesGraph(&ensemble, dims, 200);
+  ExpectPlanMatchesReference(&ensemble, dims, 200);
 }
 
-TEST(InferPlanTest, MatchesGraphWhenKernelExceedsWindow) {
+TEST(InferPlanTest, MatchesReferenceWhenKernelExceedsWindow) {
   auto config = SmallConfig();
   config.cae.kernel = 7;  // kernel > window: padding clips on both sides
   config.window = 4;
   const int64_t dims = 3;
   core::CaeEnsemble ensemble(config);
   ASSERT_TRUE(ensemble.Fit(testutil::PlantedSeries(80, dims, 7)).ok());
-  ExpectPlanMatchesGraph(&ensemble, dims, 300);
+  ExpectPlanMatchesReference(&ensemble, dims, 300);
 }
 
-TEST(InferPlanTest, MatchesGraphAcrossAttentionModes) {
+TEST(InferPlanTest, MatchesReferenceAcrossAttentionModes) {
   for (const auto mode :
        {core::AttentionMode::kNone, core::AttentionMode::kLastLayer,
         core::AttentionMode::kAllLayers}) {
@@ -107,20 +236,20 @@ TEST(InferPlanTest, MatchesGraphAcrossAttentionModes) {
     const int64_t dims = 4;
     core::CaeEnsemble ensemble(config);
     ASSERT_TRUE(ensemble.Fit(testutil::PlantedSeries(88, dims, 8)).ok());
-    ExpectPlanMatchesGraph(&ensemble, dims, 400);
+    ExpectPlanMatchesReference(&ensemble, dims, 400);
   }
 }
 
-TEST(InferPlanTest, MatchesGraphWithoutRescaling) {
+TEST(InferPlanTest, MatchesReferenceWithoutRescaling) {
   auto config = SmallConfig();
   config.rescale_enabled = false;
   const int64_t dims = 4;
   core::CaeEnsemble ensemble(config);
   ASSERT_TRUE(ensemble.Fit(testutil::PlantedSeries(96, dims, 9)).ok());
-  ExpectPlanMatchesGraph(&ensemble, dims, 500);
+  ExpectPlanMatchesReference(&ensemble, dims, 500);
 }
 
-TEST(InferPlanTest, MatchesGraphWithNonDefaultActivations) {
+TEST(InferPlanTest, MatchesReferenceWithNonDefaultActivations) {
   auto config = SmallConfig();
   config.cae.enc_act = nn::Activation::kTanh;
   config.cae.dec_act = nn::Activation::kSigmoid;
@@ -130,38 +259,33 @@ TEST(InferPlanTest, MatchesGraphWithNonDefaultActivations) {
   const int64_t dims = 4;
   core::CaeEnsemble ensemble(config);
   ASSERT_TRUE(ensemble.Fit(testutil::PlantedSeries(96, dims, 10)).ok());
-  ExpectPlanMatchesGraph(&ensemble, dims, 600);
+  ExpectPlanMatchesReference(&ensemble, dims, 600);
 }
 
 // The offline paths (PerModelScores -> Score, MeanReconstructionError,
-// Diversity) also run on the plans; all three must match the graph bitwise.
-TEST(InferPlanTest, OfflineScoringPathsMatchGraph) {
+// Diversity) also run on the plans; all three must match the reference
+// bitwise.
+TEST(InferPlanTest, OfflineScoringPathsMatchReference) {
   auto config = SmallConfig();
   config.cae.num_layers = 2;
   const int64_t dims = 4;
   core::CaeEnsemble ensemble(config);
   ASSERT_TRUE(ensemble.Fit(testutil::PlantedSeries(96, dims, 12)).ok());
   const ts::TimeSeries eval = testutil::PlantedSeries(64, dims, 13, {30});
+  const OfflineReference ref = ReferenceOffline(ensemble, eval);
 
-  ensemble.set_scoring_backend(core::ScoringBackend::kPlan);
-  auto plan_scores = ensemble.Score(eval);
-  auto plan_mre = ensemble.MeanReconstructionError(eval);
-  auto plan_div = ensemble.Diversity(eval);
-  ensemble.set_scoring_backend(core::ScoringBackend::kGraph);
-  auto graph_scores = ensemble.Score(eval);
-  auto graph_mre = ensemble.MeanReconstructionError(eval);
-  auto graph_div = ensemble.Diversity(eval);
-
-  ASSERT_TRUE(plan_scores.ok() && graph_scores.ok());
-  ASSERT_EQ(plan_scores.value().size(), graph_scores.value().size());
-  for (size_t i = 0; i < plan_scores.value().size(); ++i) {
-    EXPECT_EQ(plan_scores.value()[i], graph_scores.value()[i])
-        << "observation " << i;
+  auto scores = ensemble.Score(eval);
+  ASSERT_TRUE(scores.ok()) << scores.status();
+  ASSERT_EQ(scores.value().size(), ref.scores.size());
+  for (size_t i = 0; i < ref.scores.size(); ++i) {
+    EXPECT_EQ(scores.value()[i], ref.scores[i]) << "observation " << i;
   }
-  ASSERT_TRUE(plan_mre.ok() && graph_mre.ok());
-  EXPECT_EQ(plan_mre.value(), graph_mre.value());
-  ASSERT_TRUE(plan_div.ok() && graph_div.ok());
-  EXPECT_EQ(plan_div.value(), graph_div.value());
+  auto mre = ensemble.MeanReconstructionError(eval);
+  ASSERT_TRUE(mre.ok()) << mre.status();
+  EXPECT_EQ(mre.value(), ref.mean_reconstruction_error);
+  auto div = ensemble.Diversity(eval);
+  ASSERT_TRUE(div.ok()) << div.status();
+  EXPECT_EQ(div.value(), ref.diversity);
 }
 
 // ScoreWindowsLastInto is the serving entry point: same scores as the
@@ -209,13 +333,12 @@ TEST(InferPlanTest, IntoVariantValidatesArguments) {
 }
 
 // The engine's cross-stream batching contract (bitwise equal to dedicated
-// per-stream scorers) must survive the plan rewiring end to end.
-TEST(InferPlanTest, ServingEngineMatchesStreamingScorerOnPlanPath) {
+// per-stream scorers) holds end to end.
+TEST(InferPlanTest, ServingEngineMatchesStreamingScorer) {
   auto config = SmallConfig();
   const int64_t dims = 4;
   core::CaeEnsemble ensemble(config);
   ASSERT_TRUE(ensemble.Fit(testutil::PlantedSeries(96, dims, 16)).ok());
-  ASSERT_EQ(ensemble.scoring_backend(), core::ScoringBackend::kPlan);
 
   const ts::TimeSeries stream = testutil::PlantedSeries(40, dims, 17, {25});
   core::StreamingScorer reference(&ensemble);

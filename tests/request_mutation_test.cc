@@ -135,11 +135,10 @@ class RequestMutationTest : public ::testing::Test {
   }
 
   // One request through the dispatcher, checked against the reply rule,
-  // then the monitor polls caee_serve runs after every request.
+  // then the monitor poll caee_serve runs after every request.
   void Dispatch(const fr::Frame& request) {
     OutcomeCounter sink;
     dispatcher_->Dispatch(request, &sink);
-    engine_->PollDrift();
     engine_->PollHealth();
     const fr::FrameType type = request.frame_type();
     if (sink.replies == 0) {
