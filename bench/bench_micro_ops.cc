@@ -1,25 +1,14 @@
-// Substrate microbenchmarks: the primitives whose relative cost underpins
-// the paper's efficiency argument, now in two roles:
-//
-//  1. google-benchmark registrations (default mode) for interactive use —
-//     optimized kernels vs the kernels::reference::* naive loops at
-//     CAE-representative shapes (B=64, W=16..64, C=32..128, K=3).
-//  2. `--caee_json=PATH`: a self-timed harness that writes a
-//     machine-readable BENCH_*.json entry list {op, shape, threads, impl,
-//     ns_per_iter, checksum} and prints a naive-vs-optimized speedup table.
-//     CI runs this and fails the build if any kernel regresses >2x against
-//     the committed baseline (scripts/check_bench_regression.py).
+// Substrate microbenchmarks for interactive use: the primitives whose
+// relative cost underpins the paper's efficiency argument, as
+// google-benchmark cases — optimized kernels vs the kernels::reference::*
+// naive loops at CAE-representative shapes (B=64, W=16..64, C=32..128,
+// K=3). The CI-gated kernel rows are bench_serve's micro/* rows
+// (BENCH.json).
 //
 // The conv-vs-LSTM pair (the architectural story of Tables 7-8) stays: one
 // whole window through a conv layer vs W sequential LSTM steps.
 
-#include <chrono>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -32,10 +21,6 @@
 
 namespace caee {
 namespace {
-
-// ---------------------------------------------------------------------------
-// google-benchmark registrations (interactive mode).
-// ---------------------------------------------------------------------------
 
 void BM_MatMul(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -158,256 +143,7 @@ void BM_ParallelForScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForScaling)->Arg(1)->Arg(2);
 
-// ---------------------------------------------------------------------------
-// --caee_json mode: self-timed entries with checksums.
-// ---------------------------------------------------------------------------
-
-struct JsonEntry {
-  std::string op;
-  std::string shape;
-  int threads;
-  std::string impl;  // "naive" | "opt"
-  double ns_per_iter;
-  double checksum;
-};
-
-// Defeats dead-code elimination of the timed kernels at negligible cost:
-// every timed call feeds one element of its output here.
-volatile double g_sink = 0.0;
-
-// Times fn() until ~0.3 s of samples accumulate (at least 3 iterations) and
-// returns ns/iter. fn returns a checksum; the final value is recorded in
-// the entry (so numeric drift shows in the JSON diff) but the checksum
-// reduction itself runs OUTSIDE the timed region — each timed call only
-// pushes one output element into g_sink.
-JsonEntry TimeOp(const std::string& op, const std::string& shape, int threads,
-                 const std::string& impl, const std::function<void()>& run,
-                 const std::function<double()>& checksum) {
-  using Clock = std::chrono::steady_clock;
-  run();  // warmup
-  int64_t iters = 0;
-  double elapsed_ns = 0.0;
-  while (elapsed_ns < 3e8 || iters < 3) {
-    const auto t0 = Clock::now();
-    run();
-    const auto t1 = Clock::now();
-    elapsed_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-    ++iters;
-    if (iters >= 1000000) break;
-  }
-  JsonEntry e;
-  e.op = op;
-  e.shape = shape;
-  e.threads = threads;
-  e.impl = impl;
-  e.ns_per_iter = elapsed_ns / static_cast<double>(iters);
-  e.checksum = checksum();
-  std::fprintf(stderr, "  %-18s %-22s t=%d %-5s  %12.0f ns/iter\n", op.c_str(),
-               shape.c_str(), threads, impl.c_str(), e.ns_per_iter);
-  return e;
-}
-
-double SumOf(const Tensor& t) { return t.Sum(); }
-
-int RunJsonMode(const char* path) {
-  std::vector<JsonEntry> entries;
-  std::fprintf(stderr, "caee micro-op bench (json mode)\n");
-
-  // CAE-representative shapes: batch 64, windows 16..64, channels 32..128,
-  // kernel 3 with same padding — the Conv1d/MatMul population the ensemble's
-  // training and scoring wall-clock is made of.
-  struct ConvCfg {
-    int64_t b, w, c, k;
-  };
-  const ConvCfg conv_cfgs[] = {{64, 16, 32, 3}, {64, 32, 64, 3},
-                               {64, 64, 128, 3}};
-  for (const ConvCfg& cfg : conv_cfgs) {
-    Rng rng(11);
-    Tensor x = Tensor::Randn({cfg.b, cfg.w, cfg.c}, &rng);
-    Tensor w = Tensor::Randn({cfg.c, cfg.k, cfg.c}, &rng, 0.1f);
-    Tensor bias = Tensor::Randn({cfg.c}, &rng);
-    char shape[64];
-    std::snprintf(shape, sizeof(shape),
-                  "B%" PRId64 "_W%" PRId64 "_C%" PRId64 "_K%" PRId64, cfg.b,
-                  cfg.w, cfg.c, cfg.k);
-    SetGlobalParallelism(1);
-    Tensor naive_y = Tensor::Uninitialized({cfg.b, cfg.w, cfg.c});
-    auto naive_fwd = [&] {
-      kernels::reference::Conv1dForward(x.data(), w.data(), bias.data(),
-                                        naive_y.data(), cfg.b, cfg.w, cfg.c,
-                                        cfg.c, cfg.k, 1, cfg.w);
-      g_sink += naive_y.data()[0];
-    };
-    entries.push_back(TimeOp("conv1d_fwd", shape, 1, "naive", naive_fwd,
-                             [&] { return SumOf(naive_y); }));
-    entries.push_back(TimeOp(
-        "conv1d_fwd", shape, 1, "opt",
-        [&] { g_sink += ops::Conv1d(x, w, bias, 1, 1).data()[0]; },
-        [&] { return SumOf(ops::Conv1d(x, w, bias, 1, 1)); }));
-
-    Tensor dy = Tensor::Randn({cfg.b, cfg.w, cfg.c}, &rng, 0.1f);
-    Tensor naive_dx(Shape{cfg.b, cfg.w, cfg.c});
-    auto naive_bwd_in = [&] {
-      naive_dx.Zero();
-      kernels::reference::Conv1dBackwardInput(dy.data(), w.data(),
-                                              naive_dx.data(), cfg.b, cfg.w,
-                                              cfg.c, cfg.c, cfg.k, 1, cfg.w);
-      g_sink += naive_dx.data()[0];
-    };
-    entries.push_back(TimeOp("conv1d_bwd_input", shape, 1, "naive",
-                             naive_bwd_in, [&] { return SumOf(naive_dx); }));
-    entries.push_back(TimeOp(
-        "conv1d_bwd_input", shape, 1, "opt",
-        [&] { g_sink += ops::Conv1dBackwardInput(dy, w, cfg.w, 1).data()[0]; },
-        [&] { return SumOf(ops::Conv1dBackwardInput(dy, w, cfg.w, 1)); }));
-
-    Tensor naive_dw(Shape{cfg.c, cfg.k, cfg.c});
-    auto naive_bwd_w = [&] {
-      naive_dw.Zero();
-      kernels::reference::Conv1dBackwardWeight(dy.data(), x.data(),
-                                               naive_dw.data(), cfg.b, cfg.w,
-                                               cfg.c, cfg.c, cfg.k, 1, cfg.w);
-      g_sink += naive_dw.data()[0];
-    };
-    entries.push_back(TimeOp("conv1d_bwd_weight", shape, 1, "naive",
-                             naive_bwd_w, [&] { return SumOf(naive_dw); }));
-    entries.push_back(TimeOp(
-        "conv1d_bwd_weight", shape, 1, "opt",
-        [&] { g_sink += ops::Conv1dBackwardWeight(dy, x, cfg.k, 1).data()[0]; },
-        [&] { return SumOf(ops::Conv1dBackwardWeight(dy, x, cfg.k, 1)); }));
-  }
-
-  for (int64_t n : {64, 128}) {
-    Rng rng(12);
-    Tensor a = Tensor::Randn({n, n}, &rng);
-    Tensor b = Tensor::Randn({n, n}, &rng);
-    char shape[32];
-    std::snprintf(shape, sizeof(shape), "%" PRId64 "x%" PRId64 "x%" PRId64, n,
-                  n, n);
-    SetGlobalParallelism(1);
-    Tensor naive_c = Tensor::Uninitialized({n, n});
-    auto naive_mm = [&] {
-      kernels::reference::MatMul(a.data(), n, false, b.data(), n, false,
-                                 naive_c.data(), n, n, n);
-      g_sink += naive_c.data()[0];
-    };
-    entries.push_back(TimeOp("matmul", shape, 1, "naive", naive_mm,
-                             [&] { return SumOf(naive_c); }));
-    entries.push_back(TimeOp(
-        "matmul", shape, 1, "opt",
-        [&] { g_sink += ops::MatMul(a, b).data()[0]; },
-        [&] { return SumOf(ops::MatMul(a, b)); }));
-  }
-
-  // Multi-thread rows for the biggest shapes (meaningful on multicore
-  // runners; equal to t=1 on single-core boxes, which is itself a signal
-  // that the dispatch overhead is bounded).
-  {
-    Rng rng(13);
-    Tensor x = Tensor::Randn({64, 64, 128}, &rng);
-    Tensor w = Tensor::Randn({128, 3, 128}, &rng, 0.1f);
-    Tensor bias = Tensor::Randn({128}, &rng);
-    SetGlobalParallelism(4);
-    entries.push_back(TimeOp(
-        "conv1d_fwd", "B64_W64_C128_K3", 4, "opt",
-        [&] { g_sink += ops::Conv1d(x, w, bias, 1, 1).data()[0]; },
-        [&] { return SumOf(ops::Conv1d(x, w, bias, 1, 1)); }));
-    Tensor a = Tensor::Randn({128, 128}, &rng);
-    Tensor b = Tensor::Randn({128, 128}, &rng);
-    entries.push_back(TimeOp(
-        "matmul", "128x128x128", 4, "opt",
-        [&] { g_sink += ops::MatMul(a, b).data()[0]; },
-        [&] { return SumOf(ops::MatMul(a, b)); }));
-    SetGlobalParallelism(1);
-  }
-
-  // Elementwise / reduction kernels (optimized only; these had no naive
-  // twin worth keeping).
-  {
-    Rng rng(14);
-    Tensor x = Tensor::Randn({64, 64, 128}, &rng);
-    Tensor y = Tensor::Randn({64, 64, 128}, &rng);
-    entries.push_back(TimeOp(
-        "sigmoid", "B64_W64_C128", 1, "opt",
-        [&] { g_sink += ops::Sigmoid(x).data()[0]; },
-        [&] { return SumOf(ops::Sigmoid(x)); }));
-    entries.push_back(TimeOp(
-        "add", "B64_W64_C128", 1, "opt",
-        [&] { g_sink += ops::Add(x, y).data()[0]; },
-        [&] { return SumOf(ops::Add(x, y)); }));
-    Tensor acc(x.shape());
-    entries.push_back(TimeOp(
-        "axpy", "B64_W64_C128", 1, "opt",
-        [&] {
-          ops::AxpyInPlace(0.0f, x, &acc);  // alpha=0 keeps acc stable
-          g_sink += acc.data()[0];
-        },
-        [&] { return SumOf(acc); }));
-    auto sq_err_sum = [&] {
-      const std::vector<double> e = ops::SquaredErrorPerPosition(x, y);
-      double s = 0.0;
-      for (double v : e) s += v;
-      return s;
-    };
-    entries.push_back(TimeOp(
-        "sq_err", "B64_W64_C128", 1, "opt",
-        [&] { g_sink += ops::SquaredErrorPerPosition(x, y)[0]; }, sq_err_sum));
-    Tensor sm = Tensor::Randn({64, 16, 16}, &rng);
-    entries.push_back(TimeOp(
-        "softmax", "64x16x16", 1, "opt",
-        [&] { g_sink += ops::SoftmaxLastDim(sm).data()[0]; },
-        [&] { return SumOf(ops::SoftmaxLastDim(sm)); }));
-  }
-  SetGlobalParallelism(0);
-
-  // Speedup table (naive vs opt at matching op/shape/threads).
-  std::fprintf(stderr, "\n  %-18s %-22s %10s\n", "op", "shape", "speedup");
-  for (const JsonEntry& opt : entries) {
-    if (opt.impl != "opt") continue;
-    for (const JsonEntry& naive : entries) {
-      if (naive.impl == "naive" && naive.op == opt.op &&
-          naive.shape == opt.shape && naive.threads == opt.threads) {
-        std::fprintf(stderr, "  %-18s %-22s %9.2fx\n", opt.op.c_str(),
-                     opt.shape.c_str(), naive.ns_per_iter / opt.ns_per_iter);
-      }
-    }
-  }
-
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"bench_micro_ops\",\n  \"schema\": 1,\n"
-                  "  \"entries\": [\n");
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const JsonEntry& e = entries[i];
-    std::fprintf(f,
-                 "    {\"op\": \"%s\", \"shape\": \"%s\", \"threads\": %d, "
-                 "\"impl\": \"%s\", \"ns_per_iter\": %.1f, "
-                 "\"checksum\": %.17g}%s\n",
-                 e.op.c_str(), e.shape.c_str(), e.threads, e.impl.c_str(),
-                 e.ns_per_iter, e.checksum,
-                 i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "\nwrote %zu entries to %s\n", entries.size(), path);
-  return 0;
-}
-
 }  // namespace
 }  // namespace caee
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--caee_json=", 12) == 0) {
-      return caee::RunJsonMode(argv[i] + 12);
-    }
-  }
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -103,8 +103,8 @@ struct HealthConfig {
   /// Fewest retained canary windows needed to shadow-score a reload
   /// candidate; below this the canary phase is skipped (cold engine).
   int64_t canary_min_windows = 8;
-  /// Recent raw windows each shard retains for the canary (bytes/stream
-  /// cost is measured in BENCH_10.json).
+  /// Recent raw windows each shard retains for the canary (4·w·D bytes
+  /// each, per shard; tests/serve_test.cc pins the cost).
   int64_t canary_capacity = 64;
 };
 

@@ -244,8 +244,8 @@ class ServingEngine {
   int64_t pending_windows() const;
   /// \brief Heap bytes owned by the serving layer (all shards' ring slabs,
   /// session records, index tables, pending pools, staging buffers — at
-  /// capacity). The bytes-per-idle-stream number in BENCH_6.json and
-  /// docs/capacity.md is this, divided by open streams.
+  /// capacity). The bytes-per-idle-stream number in docs/capacity.md is
+  /// this, divided by open streams; tests/serve_test.cc pins it exactly.
   size_t MemoryBytes() const;
 
   int64_t num_shards() const { return static_cast<int64_t>(shards_.size()); }

@@ -4,8 +4,9 @@
 // per-signal hysteresis over its five signals (serve/health_monitor.h —
 // one event per excursion per signal, severity-ordered single event per
 // update, drift-vs-degradation classification, per-signal windows and
-// enablement, cold-start silence). The drift signal's own hysteresis,
-// with the four health signals off, is pinned in drift_monitor_test.cc.
+// enablement, cold-start silence). The hysteresis cases run twice: once
+// on score shift, a health-ring gauge, and once on drift, which has its
+// own ring and threshold.
 
 #include <gtest/gtest.h>
 
@@ -144,12 +145,13 @@ TEST(HealthRefTest, ValidationCatchesCorruptFields) {
 // HealthMonitor.
 // --------------------------------------------------------------------------
 
+constexpr double kShiftThreshold = 0.3;
 constexpr double kDriftThreshold = 0.1;
 
 serve::HealthConfig MonitorConfig() {
   serve::HealthConfig config;
   config.enabled = true;
-  config.shift_threshold = 0.3;
+  config.shift_threshold = kShiftThreshold;
   config.dispersion_threshold = 4.0;
   config.non_finite_threshold = 0.01;
   config.alert_threshold = 0.5;
@@ -174,6 +176,21 @@ serve::EngineStats Healthy() {
   return stats;
 }
 
+// One signal as the hysteresis cases drive it: which snapshot fields hold
+// its value and its window, and the threshold Monitor() gives it.
+struct Gauge {
+  serve::HealthSignal signal;
+  double serve::EngineStats::*value;
+  int64_t serve::EngineStats::*window;
+  double threshold;
+};
+constexpr Gauge kShiftAndDrift[] = {
+    {serve::HealthSignal::kScoreShift, &serve::EngineStats::score_shift,
+     &serve::EngineStats::health_window, kShiftThreshold},
+    {serve::HealthSignal::kDrift, &serve::EngineStats::drift,
+     &serve::EngineStats::drift_window, kDriftThreshold},
+};
+
 TEST(HealthMonitorTest, DisabledMonitorNeverFires) {
   serve::HealthConfig config = MonitorConfig();
   config.enabled = false;
@@ -189,17 +206,20 @@ TEST(HealthMonitorTest, DisabledMonitorNeverFires) {
 }
 
 TEST(HealthMonitorTest, ColdStartWindowIsIgnored) {
-  serve::HealthMonitor monitor = Monitor(MonitorConfig());
-  serve::EngineStats bad = Healthy();
-  bad.score_shift = 0.99;  // a near-empty ring reads as extreme shift
-  bad.health_window = 8;
-  EXPECT_FALSE(monitor.Update(bad).has_value());
-  bad.health_window = 63;
-  EXPECT_FALSE(monitor.Update(bad).has_value());
-  bad.health_window = 64;
-  const auto fired = monitor.Update(bad);
-  ASSERT_TRUE(fired.has_value());
-  EXPECT_EQ(fired->signal, serve::HealthSignal::kScoreShift);
+  for (const Gauge& g : kShiftAndDrift) {
+    SCOPED_TRACE(serve::HealthSignalName(g.signal));
+    serve::HealthMonitor monitor = Monitor(MonitorConfig());
+    serve::EngineStats bad = Healthy();
+    bad.*g.value = 0.99;  // a near-empty ring reads as an extreme value
+    for (const int64_t cold : {8, 63}) {
+      bad.*g.window = cold;
+      EXPECT_FALSE(monitor.Update(bad).has_value()) << cold;
+    }
+    bad.*g.window = 64;
+    const auto fired = monitor.Update(bad);
+    ASSERT_TRUE(fired.has_value());
+    EXPECT_EQ(fired->signal, g.signal);
+  }
 }
 
 TEST(HealthMonitorTest, ClassificationSplitsDriftFromDegradation) {
@@ -219,39 +239,44 @@ TEST(HealthMonitorTest, ClassificationSplitsDriftFromDegradation) {
 }
 
 TEST(HealthMonitorTest, FiresOncePerExcursionWithEventFields) {
-  serve::HealthMonitor monitor = Monitor(MonitorConfig());
-  serve::EngineStats stats = Healthy();
-  stats.generation = 3;
-  EXPECT_FALSE(monitor.Update(stats).has_value());
+  for (const Gauge& g : kShiftAndDrift) {
+    SCOPED_TRACE(serve::HealthSignalName(g.signal));
+    const double t = g.threshold;
+    serve::HealthMonitor monitor = Monitor(MonitorConfig());
+    serve::EngineStats stats = Healthy();
+    stats.generation = 3;
+    stats.*g.window = 300;  // the event carries this signal's own window
+    EXPECT_FALSE(monitor.Update(stats).has_value());
 
-  stats.score_shift = 0.45;
-  const auto fired = monitor.Update(stats);
-  ASSERT_TRUE(fired.has_value());
-  EXPECT_EQ(fired->signal, serve::HealthSignal::kScoreShift);
-  EXPECT_EQ(fired->verdict, serve::HealthVerdict::kDataDrift);
-  EXPECT_EQ(fired->generation, 3);
-  EXPECT_EQ(fired->value, 0.45);
-  EXPECT_EQ(fired->threshold, 0.3);
-  EXPECT_EQ(fired->window, 256);
-  EXPECT_FALSE(fired->rolled_back);
+    stats.*g.value = 1.5 * t;
+    const auto fired = monitor.Update(stats);
+    ASSERT_TRUE(fired.has_value());
+    EXPECT_EQ(fired->signal, g.signal);
+    EXPECT_EQ(fired->verdict, serve::HealthVerdict::kDataDrift);
+    EXPECT_EQ(fired->generation, 3);
+    EXPECT_EQ(fired->value, 1.5 * t);
+    EXPECT_EQ(fired->threshold, t);
+    EXPECT_EQ(fired->window, 300);
+    EXPECT_FALSE(fired->rolled_back);
 
-  // Disarmed: staying high, dipping between clear and threshold, or
-  // sitting exactly at the clear level (threshold / 2) must not re-fire
-  // — one event per excursion.
-  EXPECT_FALSE(monitor.Update(stats).has_value());
-  for (const double shift : {0.21, 0.15, 0.51}) {
-    stats.score_shift = shift;
-    EXPECT_FALSE(monitor.Update(stats).has_value()) << shift;
-    EXPECT_FALSE(monitor.armed(serve::HealthSignal::kScoreShift)) << shift;
+    // Disarmed: staying high, dipping between clear and threshold, or
+    // sitting exactly at the clear level (threshold / 2) must not re-fire
+    // — one event per excursion.
+    EXPECT_FALSE(monitor.Update(stats).has_value());
+    for (const double k : {0.7, 0.5, 1.7}) {
+      stats.*g.value = k * t;
+      EXPECT_FALSE(monitor.Update(stats).has_value()) << k;
+      EXPECT_FALSE(monitor.armed(g.signal)) << k;
+    }
+
+    // Strictly below the clear level: re-armed (the re-arming update
+    // itself never fires), and the next excursion fires again.
+    stats.*g.value = 0.3 * t;
+    EXPECT_FALSE(monitor.Update(stats).has_value());
+    EXPECT_TRUE(monitor.armed(g.signal));
+    stats.*g.value = 1.7 * t;
+    EXPECT_TRUE(monitor.Update(stats).has_value());
   }
-
-  // Strictly below the clear level: re-armed (the re-arming update
-  // itself never fires), and the next excursion fires again.
-  stats.score_shift = 0.09;
-  EXPECT_FALSE(monitor.Update(stats).has_value());
-  EXPECT_TRUE(monitor.armed(serve::HealthSignal::kScoreShift));
-  stats.score_shift = 0.51;
-  EXPECT_TRUE(monitor.Update(stats).has_value());
 }
 
 TEST(HealthMonitorTest, MostSevereSignalWinsAndOthersKeepTheirState) {
@@ -334,23 +359,41 @@ TEST(HealthMonitorTest, ResetReArmsEverySignal) {
 }
 
 TEST(HealthMonitorTest, ExplicitClearLevelsOverrideTheHalfDefault) {
-  serve::HealthConfig config = MonitorConfig();
-  config.shift_clear = 0.25;
-  serve::HealthMonitor monitor = Monitor(config);
-  EXPECT_EQ(monitor.clear_level(serve::HealthSignal::kScoreShift), 0.25);
+  // One monitor per gauge, with that gauge's clear set to 0.8 x its
+  // threshold (shift through HealthConfig, drift through the constructor).
+  serve::HealthConfig shift_config = MonitorConfig();
+  shift_config.shift_clear = 0.8 * kShiftThreshold;
+  serve::HealthMonitor monitors[] = {
+      serve::HealthMonitor(shift_config, kDriftThreshold, 0.0),
+      serve::HealthMonitor(MonitorConfig(), kDriftThreshold,
+                           0.8 * kDriftThreshold)};
   // Unset clears default to half the threshold.
-  EXPECT_EQ(monitor.clear_level(serve::HealthSignal::kAlertRate), 0.25);
-  EXPECT_EQ(monitor.clear_level(serve::HealthSignal::kDispersion), 2.0);
+  EXPECT_EQ(monitors[0].clear_level(serve::HealthSignal::kDrift),
+            kDriftThreshold / 2);
+  EXPECT_EQ(monitors[1].clear_level(serve::HealthSignal::kScoreShift),
+            kShiftThreshold / 2);
+  EXPECT_EQ(monitors[0].clear_level(serve::HealthSignal::kAlertRate), 0.25);
+  EXPECT_EQ(monitors[0].clear_level(serve::HealthSignal::kDispersion), 2.0);
 
-  serve::EngineStats stats = Healthy();
-  stats.score_shift = 0.5;
-  ASSERT_TRUE(monitor.Update(stats).has_value());
-  stats.score_shift = 0.26;  // above the explicit clear: still disarmed
-  EXPECT_FALSE(monitor.Update(stats).has_value());
-  EXPECT_FALSE(monitor.armed(serve::HealthSignal::kScoreShift));
-  stats.score_shift = 0.24;  // strictly below: re-armed
-  EXPECT_FALSE(monitor.Update(stats).has_value());
-  EXPECT_TRUE(monitor.armed(serve::HealthSignal::kScoreShift));
+  for (int i = 0; i < 2; ++i) {
+    const Gauge& g = kShiftAndDrift[i];
+    SCOPED_TRACE(serve::HealthSignalName(g.signal));
+    const double t = g.threshold;
+    serve::HealthMonitor& monitor = monitors[i];
+    EXPECT_EQ(monitor.clear_level(g.signal), 0.8 * t);
+    serve::EngineStats stats = Healthy();
+    stats.*g.value = 1.5 * t;
+    ASSERT_TRUE(monitor.Update(stats).has_value());
+    // Above the explicit clear, or exactly at it: still disarmed.
+    for (const double k : {0.9, 0.8}) {
+      stats.*g.value = k * t;
+      EXPECT_FALSE(monitor.Update(stats).has_value()) << k;
+      EXPECT_FALSE(monitor.armed(g.signal)) << k;
+    }
+    stats.*g.value = 0.7 * t;  // strictly below: re-armed
+    EXPECT_FALSE(monitor.Update(stats).has_value());
+    EXPECT_TRUE(monitor.armed(g.signal));
+  }
 }
 
 // Each signal is judged over its own window: drift over the drift rings,

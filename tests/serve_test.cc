@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/health.h"
 #include "core/spot.h"
 #include "core/streaming.h"
 #include "serve/serving_engine.h"
@@ -78,6 +79,22 @@ std::vector<std::vector<double>> SingleStreamScores(
     }
   }
   return scores;
+}
+
+// Calibrate SPOT init params on the scores the streams actually produce,
+// so the peaks threshold t lands inside the live score distribution and
+// the online update exercises all four SpotObserve cases.
+core::SpotInit SpotInitFor(const std::vector<std::vector<double>>& scores) {
+  std::vector<double> reference;
+  for (const auto& s : scores) reference.insert(reference.end(), s.begin(),
+                                                s.end());
+  core::SpotConfig config;
+  config.level = 0.8;
+  config.q = 0.05;
+  config.peak_capacity = 16;
+  auto init = core::CalibrateSpot(reference, config);
+  CAEE_CHECK_MSG(init.ok(), "SPOT calibration failed in test setup");
+  return std::move(init).value();
 }
 
 TEST_F(ServeTest, BatchedScoresBitwiseEqualSingleStreamRuns) {
@@ -344,10 +361,11 @@ TEST_F(ServeTest, WidthMismatchRejectedSessionStaysUsable) {
 // exactly the owning shard.
 // ---------------------------------------------------------------------------
 
-// The tentpole determinism statement: for every shard count in {1, 4, 16}
-// and batch size in {1, 3, 8}, the sharded engine's scores are BITWISE
-// equal (EXPECT_EQ on doubles) to dedicated per-stream scorers — sharding
-// changes who holds which lock, never what a window scores.
+// The tentpole determinism statement: for every shard count in {1, 4, 16},
+// batch size in {1, 3, 8} and idle population in {0, 1000}, the sharded
+// engine's scores are BITWISE equal (EXPECT_EQ on doubles) to dedicated
+// per-stream scorers — sharding changes who holds which lock, and idle
+// sessions which slots the fed ones get, never what a window scores.
 TEST_F(ServeTest, ShardedScoresBitwiseEqualAtAnyShardCount) {
   const int64_t kStreams = 6, kLength = 20;
   const auto streams = MakeStreams(kStreams, kLength);
@@ -358,35 +376,44 @@ TEST_F(ServeTest, ShardedScoresBitwiseEqualAtAnyShardCount) {
 
   for (const int64_t num_shards : {int64_t{1}, int64_t{4}, int64_t{16}}) {
     for (const int64_t max_batch : {int64_t{1}, int64_t{3}, int64_t{8}}) {
-      serve::ServeConfig config;
-      config.max_batch = max_batch;
-      config.flush_deadline_ms = 0;
-      config.num_shards = num_shards;
-      serve::ServingEngine engine(ensemble_.get(), config);
-      ASSERT_EQ(engine.num_shards(), num_shards);
+      for (const int64_t idle : {int64_t{0}, int64_t{1000}}) {
+        serve::ServeConfig config;
+        config.max_batch = max_batch;
+        config.flush_deadline_ms = 0;
+        config.num_shards = num_shards;
+        serve::ServingEngine engine(ensemble_.get(), config);
+        ASSERT_EQ(engine.num_shards(), num_shards);
 
-      std::vector<serve::StreamScore> results;
-      for (int64_t id : ids) ASSERT_TRUE(engine.OpenStream(id).ok());
-      // Round-robin interleave: consecutive pushes land on different
-      // shards, so every batch mixes co-sharded and foreign streams.
-      for (int64_t t = 0; t < kLength; ++t) {
-        for (size_t s = 0; s < ids.size(); ++s) {
-          ASSERT_TRUE(engine.Push(ids[s], Row(streams[s], t), &results).ok());
+        std::vector<serve::StreamScore> results;
+        // Idle sessions open first and are never pushed.
+        for (int64_t i = 0; i < idle; ++i) {
+          ASSERT_TRUE(engine.OpenStream(2000000 + i).ok());
         }
-      }
-      ASSERT_TRUE(engine.Flush(&results).ok());
+        for (int64_t id : ids) ASSERT_TRUE(engine.OpenStream(id).ok());
+        // Round-robin interleave: consecutive pushes land on different
+        // shards, so every batch mixes co-sharded and foreign streams.
+        for (int64_t t = 0; t < kLength; ++t) {
+          for (size_t s = 0; s < ids.size(); ++s) {
+            ASSERT_TRUE(
+                engine.Push(ids[s], Row(streams[s], t), &results).ok());
+          }
+        }
+        ASSERT_TRUE(engine.Flush(&results).ok());
 
-      std::map<int64_t, std::vector<double>> per_stream;
-      for (const auto& r : results) per_stream[r.stream_id].push_back(r.score);
-      for (size_t s = 0; s < ids.size(); ++s) {
-        const auto& got = per_stream[ids[s]];
-        const auto& want = expected[s];
-        ASSERT_EQ(got.size(), want.size())
-            << "stream " << ids[s] << " shards " << num_shards;
-        for (size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ(got[i], want[i]) << "stream " << ids[s] << " window " << i
-                                     << " shards " << num_shards << " batch "
-                                     << max_batch;
+        std::map<int64_t, std::vector<double>> per_stream;
+        for (const auto& r : results) {
+          per_stream[r.stream_id].push_back(r.score);
+        }
+        for (size_t s = 0; s < ids.size(); ++s) {
+          const auto& got = per_stream[ids[s]];
+          const auto& want = expected[s];
+          ASSERT_EQ(got.size(), want.size())
+              << "stream " << ids[s] << " shards " << num_shards;
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i], want[i])
+                << "stream " << ids[s] << " window " << i << " shards "
+                << num_shards << " batch " << max_batch << " idle " << idle;
+          }
         }
       }
     }
@@ -531,35 +558,110 @@ TEST_F(ServeTest, CloseDrainsOnlyTheOwningShard) {
   EXPECT_EQ(results[0].stream_id, id_b);
 }
 
-// Cross-shard aggregates count everything, and the memory accounting that
-// backs BENCH_6.json's bytes-per-idle-stream metric moves with sessions.
+// Cross-shard aggregates count everything, and MemoryBytes() is exact
+// allocation arithmetic (docs/capacity.md "Where the bytes go"). N idle
+// sessions (opened, warmed to w-1 observations, nothing pending) sit
+// N / shards on each shard; both are powers of two, so every slab holds
+// exactly its slots:
+//   (a) a slot costs its w x dims float ring, a 16-byte PackedSession and
+//       a policy byte, and each shard's StreamIndex grows with it;
+//   (b) a SPOT-capable engine adds core::SpotBytesPerStream to EVERY slot,
+//       static sessions included, and a kDriftWindow-byte ring per shard;
+//   (c) health monitoring adds fixed rings and a canary buffer per shard,
+//       whatever N is.
 TEST_F(ServeTest, AggregateCountersAndMemoryAccountingSpanShards) {
+  const int64_t kStreams = 64;
+  const size_t w = static_cast<size_t>(ensemble_->config().window);
+  const size_t dims = static_cast<size_t>(ensemble_->input_dim());
+  const ts::TimeSeries series = testutil::PlantedSeries(10, 2, 12);
+  const auto scores = SingleStreamScores(ensemble_.get(), MakeStreams(5, 30));
+  const core::SpotInit spot = SpotInitFor(scores);
+  std::vector<double> flat;
+  for (const auto& s : scores) flat.insert(flat.end(), s.begin(), s.end());
+  auto calibrated =
+      core::CalibrateHealthRef(flat, std::vector<double>(flat.size(), 0.25));
+  ASSERT_TRUE(calibrated.ok());
+  const core::HealthRef health = std::move(calibrated).value();
+
+  for (const int64_t num_shards : {int64_t{1}, int64_t{4}}) {
+    const size_t shards = static_cast<size_t>(num_shards);
+    std::vector<int64_t> ids;
+    std::vector<int64_t> on_shard(shards, 0);
+    for (int64_t id = 0; static_cast<int64_t>(ids.size()) < kStreams; ++id) {
+      int64_t& n = on_shard[serve::ServingEngine::ShardOf(id, shards)];
+      if (n < kStreams / num_shards) {
+        ++n;
+        ids.push_back(id);
+      }
+    }
+    serve::ServeConfig config;
+    config.max_batch = 64;
+    config.flush_deadline_ms = 0;
+    config.num_shards = num_shards;
+
+    // MemoryBytes() before any session opens and with all N idle.
+    struct Bytes {
+      size_t empty, idle;
+    };
+    auto measure = [&](bool with_spot, bool with_health) {
+      serve::ServeConfig c = config;
+      c.health.enabled = with_health;
+      serve::ServingEngine engine(
+          ensemble_.get(), c, std::nullopt,
+          with_spot ? std::optional<core::SpotInit>(spot) : std::nullopt,
+          with_health ? std::optional<core::HealthRef>(health)
+                      : std::nullopt);
+      Bytes bytes{engine.MemoryBytes(), 0};
+      std::vector<serve::StreamScore> results;
+      for (int64_t id : ids) {
+        CAEE_CHECK(engine.OpenStream(id).ok());
+        for (size_t t = 0; t + 1 < w; ++t) {
+          CAEE_CHECK(engine.Push(id, Row(series, t), &results).ok());
+        }
+      }
+      CAEE_CHECK(results.empty() && engine.pending_windows() == 0);
+      bytes.idle = engine.MemoryBytes();
+      return bytes;
+    };
+    const Bytes plain = measure(false, false);
+    const Bytes spot_capable = measure(true, false);
+    const Bytes health_on = measure(false, true);
+
+    serve::StreamIndex index;
+    for (int64_t i = 0; i < kStreams / num_shards; ++i) {
+      index.Insert(i, static_cast<uint32_t>(i));
+    }
+    const size_t slots = static_cast<size_t>(kStreams);
+    EXPECT_EQ(plain.idle - plain.empty,
+              slots * (w * dims * sizeof(float) + 16 + 1) +
+                  shards * index.MemoryBytes())
+        << "shards " << shards;
+    EXPECT_EQ(spot_capable.idle - plain.idle,
+              slots * core::SpotBytesPerStream(spot.config) +
+                  shards * serve::kDriftWindow)
+        << "shards " << shards;
+    const size_t health_bytes =
+        shards * (serve::kHealthWindow * (1 + 1 + 8) + core::kHealthBins * 8 +
+                  static_cast<size_t>(config.health.canary_capacity) * w *
+                      dims * sizeof(float));
+    EXPECT_EQ(health_on.empty - plain.empty, health_bytes)
+        << "shards " << shards;
+    EXPECT_EQ(health_on.idle - plain.idle, health_bytes)
+        << "shards " << shards;
+  }
+
   serve::ServeConfig config;
   config.max_batch = 64;
   config.flush_deadline_ms = 0;
   config.num_shards = 4;
   serve::ServingEngine engine(ensemble_.get(), config);
-
-  const size_t empty_bytes = engine.MemoryBytes();
-  EXPECT_GT(empty_bytes, 0u);
-
-  const int64_t kStreams = 64;
   for (int64_t id = 0; id < kStreams; ++id) {
     ASSERT_TRUE(engine.OpenStream(id).ok());
   }
   EXPECT_EQ(engine.num_streams(), kStreams);
-  // Sessions cost real, accounted bytes: ring slab + cursor + index slot.
-  const size_t open_bytes = engine.MemoryBytes();
-  EXPECT_GT(open_bytes, empty_bytes);
-  const int64_t w = ensemble_->config().window;
-  const size_t ring_floor = static_cast<size_t>(kStreams) *
-                            static_cast<size_t>(w) * 2 * sizeof(float);
-  EXPECT_GE(open_bytes - empty_bytes, ring_floor);
-
-  const ts::TimeSeries series = testutil::PlantedSeries(10, 2, 12);
   std::vector<serve::StreamScore> results;
   for (int64_t id = 0; id < kStreams; ++id) {
-    for (int64_t t = 0; t < w; ++t) {
+    for (size_t t = 0; t < w; ++t) {
       ASSERT_TRUE(engine.Push(id, Row(series, t), &results).ok());
     }
   }
@@ -601,22 +703,6 @@ TEST_F(ServeTest, ThresholdControlsFlag) {
 // ---------------------------------------------------------------------------
 // SPOT streaming thresholds (core/spot.h, docs/thresholds.md).
 // ---------------------------------------------------------------------------
-
-// Calibrate SPOT init params on the scores the streams actually produce,
-// so the peaks threshold t lands inside the live score distribution and
-// the online update exercises all four SpotObserve cases.
-core::SpotInit SpotInitFor(const std::vector<std::vector<double>>& scores) {
-  std::vector<double> reference;
-  for (const auto& s : scores) reference.insert(reference.end(), s.begin(),
-                                                s.end());
-  core::SpotConfig config;
-  config.level = 0.8;
-  config.q = 0.05;
-  config.peak_capacity = 16;
-  auto init = core::CalibrateSpot(reference, config);
-  CAEE_CHECK_MSG(init.ok(), "SPOT calibration failed in test setup");
-  return std::move(init).value();
-}
 
 // Ground truth for SPOT verdicts: each stream's scores through its own
 // sequential core::SpotState.
