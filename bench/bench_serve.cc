@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -427,13 +426,8 @@ void ServeRows(const bench::Flags& flags, std::vector<Row>* rows) {
 }
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags = bench::Flags::Parse(argc, argv);
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--caee_json=", 12) == 0) {
-      json_path = argv[i] + 12;
-    }
-  }
+  const bench::Flags flags = bench::Flags::Parse(argc, argv, {"caee_json"});
+  const std::string json_path = cli::Args(argc, argv).Get("caee_json", "");
 
   std::vector<Row> rows;
   std::printf("kernel calls:\n");

@@ -1,11 +1,13 @@
-// Shared helpers for the table/figure reproduction binaries: minimal flag
-// parsing and the default CPU-budget sizing. Every binary accepts:
+// Shared helpers for the table/figure reproduction binaries: flag parsing
+// and the default CPU-budget sizing. Every binary accepts:
 //   --scale=<f>     dataset length scale (default sized for a 2-core laptop)
 //   --models=<n>    ensemble size M
 //   --epochs=<n>    epochs per basic model
 //   --threads=<n>   parallel engine workers (0 = hardware, 1 = sequential)
 //   --seed=<n>
-// plus bench-specific flags documented in each main().
+// plus bench-specific flags documented in each main(). Flags are parsed by
+// examples/cli_util.h, the parser the command-line tools use: `--k=v` and
+// `--k v` both work, and an unknown flag or a malformed number exits 2.
 
 #ifndef CAEE_BENCH_BENCH_UTIL_H_
 #define CAEE_BENCH_BENCH_UTIL_H_
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_util.h"
 #include "eval/detector.h"
 
 namespace caee {
@@ -32,49 +35,38 @@ struct Flags {
   std::vector<std::string> datasets;   // empty: bench default
   std::vector<std::string> detectors;  // empty: bench default
 
-  static Flags Parse(int argc, char** argv) {
-    Flags f;
-    auto split = [](const std::string& csv) {
-      std::vector<std::string> out;
-      size_t begin = 0;
-      while (begin <= csv.size()) {
-        const size_t comma = csv.find(',', begin);
-        const size_t end = comma == std::string::npos ? csv.size() : comma;
-        if (end > begin) out.push_back(csv.substr(begin, end - begin));
-        begin = end + 1;
-      }
-      return out;
-    };
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value_of = [&arg](const std::string& prefix) {
-        return arg.substr(prefix.size());
-      };
-      if (arg.rfind("--scale=", 0) == 0) {
-        f.scale = std::atof(value_of("--scale=").c_str());
-      } else if (arg.rfind("--models=", 0) == 0) {
-        f.models = std::atoll(value_of("--models=").c_str());
-      } else if (arg.rfind("--epochs=", 0) == 0) {
-        f.epochs = std::atoll(value_of("--epochs=").c_str());
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        f.threads = std::atoll(value_of("--threads=").c_str());
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        f.seed = std::strtoull(value_of("--seed=").c_str(), nullptr, 10);
-      } else if (arg.rfind("--lambda=", 0) == 0) {
-        f.lambda = std::atof(value_of("--lambda=").c_str());
-      } else if (arg.rfind("--beta=", 0) == 0) {
-        f.beta = std::atof(value_of("--beta=").c_str());
-      } else if (arg.rfind("--datasets=", 0) == 0) {
-        f.datasets = split(value_of("--datasets="));
-      } else if (arg.rfind("--detectors=", 0) == 0) {
-        f.detectors = split(value_of("--detectors="));
-      } else if (arg == "--help" || arg == "-h") {
-        std::cout << "flags: --scale=F --models=N --epochs=N --threads=N "
-                     "--seed=N --lambda=F --beta=F --datasets=A,B "
-                     "--detectors=A,B\n";
-        std::exit(0);
-      }
+  /// \brief Parse the common flags. `extra` names bench-specific flags,
+  /// which the bench reads back with its own cli::Args.
+  static Flags Parse(int argc, char** argv,
+                     const std::vector<std::string>& extra = {}) {
+    const cli::Args args(argc, argv);
+    std::vector<std::string> known = {
+        "scale", "models", "epochs",   "threads",   "seed",
+        "lambda", "beta",  "datasets", "detectors", "help"};
+    std::string usage =
+        "flags: --scale=F --models=N --epochs=N --threads=N --seed=N "
+        "--lambda=F --beta=F --datasets=A,B --detectors=A,B";
+    for (const auto& name : extra) {
+      known.push_back(name);
+      usage += " --" + name + "=V";
     }
+    usage += "\n";
+    args.RejectUnknown(known, usage);
+    if (args.Has("help")) {
+      std::cout << usage;
+      std::exit(0);
+    }
+    Flags f;
+    f.scale = args.GetDouble("scale", f.scale);
+    f.models = args.GetInt("models", f.models);
+    f.epochs = args.GetInt("epochs", f.epochs);
+    f.threads = args.GetInt("threads", f.threads);
+    f.seed = static_cast<uint64_t>(
+        args.GetInt("seed", static_cast<int64_t>(f.seed)));
+    f.lambda = args.GetDouble("lambda", f.lambda);
+    f.beta = args.GetDouble("beta", f.beta);
+    f.datasets = args.GetList("datasets");
+    f.detectors = args.GetList("detectors");
     return f;
   }
 };

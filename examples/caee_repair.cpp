@@ -6,19 +6,23 @@
 // supervisor script) runs this tool on a CSV of recently served
 // observations. It scores them with the CURRENT artifact, repairs the
 // flagged outliers (core/repair.h — the paper's Sec. 6 cleaning
-// direction), recalibrates the static threshold and, when the artifact is
-// SPOT-capable, the SPOT init params on the cleaned scores, and writes a
-// NEW artifact with the same weights but fresh calibration:
+// direction), recalibrates on the cleaned series, and writes a NEW
+// artifact with the same weights but fresh calibration. It recalibrates
+// the static threshold always, the SPOT init params when the artifact
+// carries them, and the model-health reference when the artifact carries
+// one:
 //
 //   caee_repair --model model.caee --input recent.csv
 //               --output model_repaired.caee
 //   # then, at the still-running server's stdin:
 //   reload,model_repaired.caee
 //
-// The weights are untouched — window, input width, and SPOT peak capacity
-// are exactly those of the input artifact, so the output is always
-// hot-swap compatible with the engine serving it (serve/generation.h's
-// validation cannot reject it). The write is crash-atomic (tmp + fsync +
+// The weights are untouched — window, input width, SPOT peak capacity and
+// the presence of the SPOT and health sections are exactly those of the
+// input artifact, so ServingEngine::ReloadArtifact's compatibility checks
+// accept the output on the engine serving its input, `--health` included.
+// A `--health` engine still canary-checks it (docs/operations.md), against
+// the recalibrated reference. The write is crash-atomic (tmp + fsync +
 // rename; docs/persistence.md): --output may even name the live artifact
 // path, a reader never observes a half-written file.
 
@@ -31,6 +35,7 @@
 
 #include "cli_util.h"
 #include "core/ensemble.h"
+#include "core/health.h"
 #include "core/persistence.h"
 #include "core/repair.h"
 #include "core/spot.h"
@@ -48,11 +53,11 @@ const char kUsage[] =
     "                   [--topk-percent P] [--threads T]\n"
     "  Scores --input with the artifact, repairs the observations the\n"
     "  artifact's threshold flags (non-finite scores always flag),\n"
-    "  recalibrates the threshold — and the SPOT init params, when the\n"
-    "  artifact carries them — on the cleaned scores, and atomically\n"
-    "  writes a new artifact with the SAME weights. The output is always\n"
-    "  hot-swap compatible: feed `reload,<output>` to the running\n"
-    "  caee_serve (docs/operations.md).\n"
+    "  recalibrates the threshold — and the SPOT init params and the\n"
+    "  health reference, when the artifact carries them — on the cleaned\n"
+    "  series, and atomically writes a new artifact with the SAME\n"
+    "  weights. Feed `reload,<output>` to the caee_serve running the\n"
+    "  input artifact (docs/operations.md).\n"
     "  --strategy picks the repair rule (default interpolate);\n"
     "  --topk-percent the recalibration quantile (default 5);\n"
     "  --labels strips a trailing label column from --input.\n";
@@ -170,10 +175,24 @@ int main(int argc, char** argv) {
               << " seed peaks\n";
   }
 
+  // A `--health` server refuses a candidate without a health section, and
+  // its canary judges live traffic against the candidate's own reference,
+  // so the reference is recalibrated on the cleaned series too.
+  std::optional<core::HealthRef> health;
+  if (loaded->health.has_value()) {
+    auto ref = core::CalibrateHealthRef(ensemble, repaired->series);
+    if (!ref.ok()) return Fail(ref.status());
+    health = std::move(ref).value();
+    std::cerr << "recalibrated health reference (" << health->count
+              << " windows, mean dispersion " << health->mean_dispersion
+              << ", was " << loaded->health->mean_dispersion << ")\n";
+  }
+
   // --- Persist (crash-atomic; docs/persistence.md) -------------------------
   const std::string output = args.Get("output", "");
   if (Status s = core::SaveEnsemble(ensemble, output, threshold.value(),
-                                    spot ? &*spot : nullptr);
+                                    spot ? &*spot : nullptr,
+                                    health ? &*health : nullptr);
       !s.ok()) {
     return Fail(s);
   }

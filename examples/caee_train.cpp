@@ -10,8 +10,6 @@
 //   caee_train --synthetic SMD --scale 0.2 --output model.caee
 //       --dump-input train.csv --scores scores.txt
 
-#include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -167,41 +165,7 @@ int main(int argc, char** argv) {
   // --- Optional model-health calibration (docs/operations.md) --------------
   std::optional<core::HealthRef> health;
   if (args.Has("health")) {
-    // The reference must describe exactly what SERVING will measure, so the
-    // scores and member dispersions come through the same entry point the
-    // serving shards use — ScoreWindowsLastInto over raw windows — not the
-    // batch Score() path. One full-window score per position, chunked so
-    // memory stays bounded on long series.
-    const int64_t w = config.window;
-    const int64_t dims = train.dims();
-    const int64_t num_windows = train.length() - w + 1;
-    const int64_t chunk = 256;
-    std::vector<float> buffer(
-        static_cast<size_t>(std::min(chunk, num_windows) * w * dims));
-    std::vector<double> window_scores, dispersions;
-    std::vector<double> chunk_scores, chunk_dispersions;
-    window_scores.reserve(static_cast<size_t>(num_windows));
-    dispersions.reserve(static_cast<size_t>(num_windows));
-    for (int64_t start = 0; start < num_windows; start += chunk) {
-      const int64_t n = std::min(chunk, num_windows - start);
-      for (int64_t b = 0; b < n; ++b) {
-        for (int64_t r = 0; r < w; ++r) {
-          std::memcpy(buffer.data() + static_cast<size_t>((b * w + r) * dims),
-                      train.row(start + b + r),
-                      static_cast<size_t>(dims) * sizeof(float));
-        }
-      }
-      if (Status s = ensemble.ScoreWindowsLastInto(
-              buffer.data(), n, &chunk_scores, &chunk_dispersions);
-          !s.ok()) {
-        return Fail(s);
-      }
-      window_scores.insert(window_scores.end(), chunk_scores.begin(),
-                           chunk_scores.end());
-      dispersions.insert(dispersions.end(), chunk_dispersions.begin(),
-                         chunk_dispersions.end());
-    }
-    auto ref = core::CalibrateHealthRef(window_scores, dispersions);
+    auto ref = core::CalibrateHealthRef(ensemble, train);
     if (!ref.ok()) return Fail(ref.status());
     health = std::move(ref).value();
     std::cout << "calibrated health reference (" << health->count

@@ -1,6 +1,6 @@
-// Minimal --flag=value / --flag value parser shared by the caee_train and
-// caee_serve command-line tools. Header-only; examples are built as single
-// translation units.
+// Minimal --flag=value / --flag value parser shared by the command-line
+// tools and the bench/ programs (bench/bench_util.h). Header-only; examples
+// are built as single translation units.
 
 #ifndef CAEE_EXAMPLES_CLI_UTIL_H_
 #define CAEE_EXAMPLES_CLI_UTIL_H_
@@ -76,6 +76,21 @@ class Args {
     std::cerr << "--" << name << " needs a number, got '" << it->second
               << "'\n";
     std::exit(2);
+  }
+
+  /// \brief The comma-separated items of `--name`, empty items dropped;
+  /// empty when the flag is absent.
+  std::vector<std::string> GetList(const std::string& name) const {
+    std::vector<std::string> items;
+    const std::string csv = Get(name, "");
+    size_t begin = 0;
+    while (begin <= csv.size()) {
+      const size_t comma = csv.find(',', begin);
+      const size_t end = comma == std::string::npos ? csv.size() : comma;
+      if (end > begin) items.push_back(csv.substr(begin, end - begin));
+      begin = end + 1;
+    }
+    return items;
   }
 
   /// \brief Abort with a usage message if an unknown flag was passed.

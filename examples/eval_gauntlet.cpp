@@ -34,7 +34,9 @@ const char kUsage[] =
     "             --scenarios A,B    substring filter on scenario names\n"
     "             --csv NAME:TRAIN:TEST  append a CSV-loaded scenario\n"
     "             --list             print the scenario names and exit\n"
-    "  detectors: --detectors A,B (default: all 12)\n"
+    "  detectors: --detectors A,B (default: all 12; also accepts the\n"
+    "             CAE-Ensemble/<change> ablation variants listed in\n"
+    "             docs/evaluation.md)\n"
     "             --models M --epochs E --window W --batch B --layers L\n"
     "             --embed-dim D --max-train-windows N --lr R --lambda F\n"
     "             --beta F --threads T\n"
@@ -44,19 +46,6 @@ const char kUsage[] =
     "             --no-timing        omit fit/score timing fields (the\n"
     "                                remaining document is byte-stable)\n"
     "             --quiet            no per-scenario tables on stdout\n";
-
-std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> out;
-  size_t begin = 0;
-  while (begin <= csv.size()) {
-    const size_t comma = csv.find(',', begin);
-    const size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > begin) out.push_back(csv.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
-}
 
 int Fail(const Status& status) {
   std::cerr << "eval_gauntlet: " << status << "\n";
@@ -105,8 +94,7 @@ int main(int argc, char** argv) {
     specs.push_back(std::move(csv));
   }
   if (args.Has("scenarios")) {
-    const std::vector<std::string> filters =
-        SplitCsv(args.Get("scenarios", ""));
+    const std::vector<std::string> filters = args.GetList("scenarios");
     std::vector<eval::ScenarioSpec> kept;
     for (auto& spec : specs) {
       for (const auto& f : filters) {
@@ -147,7 +135,7 @@ int main(int argc, char** argv) {
   s.beta = static_cast<float>(args.GetDouble("beta", 0.5));
   s.num_threads = args.GetInt("threads", 0);
   s.seed = seed;
-  config.detectors = SplitCsv(args.Get("detectors", ""));
+  config.detectors = args.GetList("detectors");
   config.spot_level = args.GetDouble("spot-level", config.spot_level);
   config.spot_q = args.GetDouble("spot-q", config.spot_q);
   config.spot_peaks = args.GetInt("spot-peaks", config.spot_peaks);

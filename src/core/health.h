@@ -13,10 +13,11 @@
 //   - non-finite rate and alert rate (no reference needed).
 //
 // This header owns the reference half: a HealthRef is distilled from the
-// training scores by caee_train --health, persisted as the artifact's
-// optional health section (validated like SPOT's — docs/persistence.md),
-// and consumed by serve::HealthMonitor and the canary phase of
-// ServingEngine::ReloadArtifact.
+// training scores by caee_train --health (and again from the repaired
+// series by caee_repair, when the input artifact carries one), persisted
+// as the artifact's optional health section (validated like SPOT's —
+// docs/persistence.md), and consumed by serve::HealthMonitor and the
+// canary phase of ServingEngine::ReloadArtifact.
 //
 // Binning contract: bin i of `bins` covers
 //   [min + i·width, min + (i+1)·width),  width = (max − min) / kHealthBins,
@@ -35,7 +36,13 @@
 #include "common/status.h"
 
 namespace caee {
+namespace ts {
+class TimeSeries;
+}  // namespace ts
+
 namespace core {
+
+class CaeEnsemble;
 
 /// \brief Histogram resolution of the persisted reference. Fixed — the
 /// serve-side ring aggregates into the same number of buckets, and the
@@ -72,6 +79,17 @@ struct HealthRef {
 /// values, mismatched lengths, or a degenerate (constant) score sample.
 StatusOr<HealthRef> CalibrateHealthRef(const std::vector<double>& scores,
                                        const std::vector<double>& dispersions);
+
+/// \brief Distil a HealthRef for `ensemble` from `series` (the training
+/// series in caee_train, the repaired series in caee_repair). The
+/// reference must describe exactly what serving will measure, so every
+/// full window of `series` is scored through the entry point the serving
+/// shards use, ScoreWindowsLastInto over raw windows, not the batch
+/// Score() path. Windows are scored in chunks, so memory stays bounded on
+/// long series. Fails like the overload above, and on a series shorter
+/// than the window or of the wrong width.
+StatusOr<HealthRef> CalibrateHealthRef(const CaeEnsemble& ensemble,
+                                       const ts::TimeSeries& series);
 
 /// \brief Validate a HealthRef (artifact bytes are untrusted): finite
 /// stats, max > min, stddev/mean_dispersion >= 0, exactly kHealthBins

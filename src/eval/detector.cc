@@ -78,6 +78,48 @@ core::EnsembleConfig BuildEnsembleConfig(const SuiteConfig& s, bool ensemble) {
   return cfg;
 }
 
+// The CAE-Ensemble ablations: the paper's Table 5 and Fig. 17, and the
+// interpretation choices this implementation made. Each entry changes one
+// setting of the suite's CAE-Ensemble config. Table 5's "No ensemble" is
+// the plain "CAE" detector, and Fig. 16 (the number of basic models) is
+// --models k: an M=k fit trains exactly the first k members of a larger one.
+using Config = core::EnsembleConfig;
+
+struct CaeVariant {
+  const char* suffix;  // the detector is "CAE-Ensemble/<suffix>"
+  void (*apply)(Config* config);
+};
+
+constexpr CaeVariant kCaeVariants[] = {
+    {"no-attention",
+     [](Config* c) { c->cae.attention = core::AttentionMode::kNone; }},
+    {"no-diversity", [](Config* c) { c->diversity_enabled = false; }},
+    {"no-transfer", [](Config* c) { c->transfer_enabled = false; }},
+    // Table 5's and Table 6's "No diversity": members trained independently.
+    {"independent",
+     [](Config* c) {
+       c->diversity_enabled = false;
+       c->transfer_enabled = false;
+     }},
+    {"no-rescale", [](Config* c) { c->rescale_enabled = false; }},
+    {"attention-last",
+     [](Config* c) { c->cae.attention = core::AttentionMode::kLastLayer; }},
+    // ReLU random features for both embedding projections.
+    {"relu-embedding",
+     [](Config* c) {
+       c->embed_obs_act = nn::Activation::kRelu;
+       c->embed_pos_act = nn::Activation::kRelu;
+     }},
+    // The raw Eq. 13 objective, without the K < J guard.
+    {"uncapped-diversity", [](Config* c) { c->diversity_cap_ratio = 0.0f; }},
+    {"no-denoise", [](Config* c) { c->denoise_std = 0.0f; }},
+    {"kernel5", [](Config* c) { c->cae.kernel = 5; }},
+    {"kernel7", [](Config* c) { c->cae.kernel = 7; }},
+    {"kernel9", [](Config* c) { c->cae.kernel = 9; }},
+};
+
+constexpr char kCaeEnsemble[] = "CAE-Ensemble";
+
 }  // namespace
 
 PaperHyperparameters Table2Hyperparameters(const std::string& dataset) {
@@ -94,6 +136,28 @@ std::vector<std::string> AllDetectorNames() {
   return {"ISF",    "LOF",         "MAS", "OCSVM",        "MSCRED",
           "OMNIANOMALY", "RNNVAE", "AE-Ensemble", "RAE", "RAE-Ensemble",
           "CAE",    "CAE-Ensemble"};
+}
+
+std::vector<std::string> CaeEnsembleVariantNames() {
+  std::vector<std::string> names;
+  for (const auto& variant : kCaeVariants) {
+    names.push_back(std::string(kCaeEnsemble) + "/" + variant.suffix);
+  }
+  return names;
+}
+
+StatusOr<core::EnsembleConfig> CaeDetectorConfig(const std::string& name,
+                                                 const SuiteConfig& s) {
+  if (name == "CAE") return BuildEnsembleConfig(s, /*ensemble=*/false);
+  core::EnsembleConfig config = BuildEnsembleConfig(s, /*ensemble=*/true);
+  if (name == kCaeEnsemble) return config;
+  for (const auto& variant : kCaeVariants) {
+    if (name == std::string(kCaeEnsemble) + "/" + variant.suffix) {
+      variant.apply(&config);
+      return config;
+    }
+  }
+  return Status::NotFound("unknown detector: " + name);
 }
 
 StatusOr<std::unique_ptr<Detector>> MakeDetector(const std::string& name,
@@ -184,15 +248,9 @@ StatusOr<std::unique_ptr<Detector>> MakeDetector(const std::string& name,
     return std::unique_ptr<Detector>(new Adapter<baselines::RaeEnsemble>(
         name, cfg));
   }
-  if (name == "CAE") {
-    return std::unique_ptr<Detector>(new CaeEnsembleDetector(
-        name, BuildEnsembleConfig(s, /*ensemble=*/false)));
-  }
-  if (name == "CAE-Ensemble") {
-    return std::unique_ptr<Detector>(new CaeEnsembleDetector(
-        name, BuildEnsembleConfig(s, /*ensemble=*/true)));
-  }
-  return Status::NotFound("unknown detector: " + name);
+  auto config = CaeDetectorConfig(name, s);
+  if (!config.ok()) return config.status();
+  return std::unique_ptr<Detector>(new CaeEnsembleDetector(name, *config));
 }
 
 }  // namespace eval

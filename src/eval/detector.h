@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/ensemble.h"
 #include "ts/time_series.h"
 
 namespace caee {
@@ -56,9 +57,23 @@ PaperHyperparameters Table2Hyperparameters(const std::string& dataset);
 /// \brief Detector names in the paper's Table 3/4 row order.
 std::vector<std::string> AllDetectorNames();
 
-/// \brief Create a detector by name ("ISF", "LOF", "MAS", "OCSVM", "MSCRED",
-/// "OMNIANOMALY", "RNNVAE", "AE-Ensemble", "RAE", "RAE-Ensemble", "CAE",
-/// "CAE-Ensemble").
+/// \brief The CAE-Ensemble ablation variants, "CAE-Ensemble/<change>":
+/// no-attention, no-diversity, no-transfer, independent (both off),
+/// no-rescale, attention-last, relu-embedding, uncapped-diversity,
+/// no-denoise, kernel5, kernel7, kernel9. Each changes one setting of
+/// CAE-Ensemble's config (docs/evaluation.md "The paper's tables"). Not in
+/// AllDetectorNames(): the default gauntlet run stays the 12 detectors.
+std::vector<std::string> CaeEnsembleVariantNames();
+
+/// \brief The ensemble config of "CAE", "CAE-Ensemble" or one of
+/// CaeEnsembleVariantNames() under `config`; NotFound for any other name.
+StatusOr<core::EnsembleConfig> CaeDetectorConfig(const std::string& name,
+                                                 const SuiteConfig& config);
+
+/// \brief Create a detector by name: one of AllDetectorNames() ("ISF",
+/// "LOF", "MAS", "OCSVM", "MSCRED", "OMNIANOMALY", "RNNVAE", "AE-Ensemble",
+/// "RAE", "RAE-Ensemble", "CAE", "CAE-Ensemble") or
+/// CaeEnsembleVariantNames().
 StatusOr<std::unique_ptr<Detector>> MakeDetector(const std::string& name,
                                                  const SuiteConfig& config);
 

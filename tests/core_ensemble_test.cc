@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/ensemble.h"
 #include "core/scoring.h"
 #include "test_util.h"
@@ -84,6 +86,44 @@ TEST(EnsembleTest, PerModelScoresMatchMedianScore) {
   for (size_t i = 0; i < combined.size(); ++i) {
     EXPECT_DOUBLE_EQ(combined[i], expected[i]);
   }
+}
+
+// Fig. 16's protocol: the ensemble grows one member at a time, so an M=k
+// fit trains exactly the first k members of an M=4 fit, bit for bit.
+// `eval_gauntlet --models k` reproduces the figure on this property.
+void ExpectSmallerFitsArePrefixes(bool diversity_and_transfer) {
+  core::EnsembleConfig cfg = TinyConfig();
+  cfg.diversity_enabled = diversity_and_transfer;
+  cfg.transfer_enabled = diversity_and_transfer;
+  cfg.num_models = 4;
+  core::CaeEnsemble full(cfg);
+  ASSERT_TRUE(full.Fit(TrainSeries()).ok());
+  const ts::TimeSeries test = testutil::PlantedSeries(80, 2, 17, {40});
+  const auto all = full.PerModelScores(test).value();
+  ASSERT_EQ(all.size(), 4u);
+  for (int64_t k = 1; k <= 3; ++k) {
+    SCOPED_TRACE("M=" + std::to_string(k));
+    cfg.num_models = k;
+    core::CaeEnsemble prefix(cfg);
+    ASSERT_TRUE(prefix.Fit(TrainSeries()).ok());
+    const auto streams = prefix.PerModelScores(test).value();
+    ASSERT_EQ(streams.size(), static_cast<size_t>(k));
+    for (size_t m = 0; m < streams.size(); ++m) {
+      ASSERT_EQ(streams[m].size(), all[m].size());
+      for (size_t i = 0; i < streams[m].size(); ++i) {
+        ASSERT_EQ(streams[m][i], all[m][i])
+            << "member " << m << ", position " << i;
+      }
+    }
+  }
+}
+
+TEST(EnsembleTest, SmallerDiversityDrivenFitIsAPrefixOfALargerOne) {
+  ExpectSmallerFitsArePrefixes(/*diversity_and_transfer=*/true);
+}
+
+TEST(EnsembleTest, SmallerIndependentFitIsAPrefixOfALargerOne) {
+  ExpectSmallerFitsArePrefixes(/*diversity_and_transfer=*/false);
 }
 
 TEST(EnsembleTest, DeterministicAcrossRuns) {

@@ -1,14 +1,16 @@
 // Conformance test over the full detector registry: every name in
-// eval::AllDetectorNames() must construct, fit on a tiny fixture, and
-// score both splits with finite values of the right length — and do so
+// eval::AllDetectorNames() and every CAE-Ensemble ablation variant
+// (eval::CaeEnsembleVariantNames()) must construct, fit on a tiny fixture,
+// and score both splits with finite values of the right length — and do so
 // deterministically across two independently-seeded runs. The gauntlet
-// (src/eval/gauntlet.cc) calls exactly this surface for all 12 detectors,
-// so a new baseline that violates any of these properties would otherwise
-// break EVAL_9.json generation silently.
+// (src/eval/gauntlet.cc) calls exactly this surface for every detector it
+// runs, so a new baseline or variant that violates any of these properties
+// would otherwise break EVAL_9.json generation or an ablation run silently.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "data/generators.h"
@@ -43,6 +45,14 @@ ts::Dataset Fixture() {
   return ds;
 }
 
+std::vector<std::string> RegistryNames() {
+  std::vector<std::string> names = eval::AllDetectorNames();
+  for (const auto& name : eval::CaeEnsembleVariantNames()) {
+    names.push_back(name);
+  }
+  return names;
+}
+
 struct ScoredRun {
   std::vector<double> train;
   std::vector<double> test;
@@ -67,7 +77,7 @@ ScoredRun FitAndScore(const std::string& name, const ts::Dataset& ds) {
 
 TEST(DetectorConformanceTest, EveryDetectorScoresFiniteAndFullLength) {
   const auto ds = Fixture();
-  for (const auto& name : eval::AllDetectorNames()) {
+  for (const auto& name : RegistryNames()) {
     SCOPED_TRACE(name);
     const auto run = FitAndScore(name, ds);
     ASSERT_EQ(static_cast<int64_t>(run.test.size()), ds.test.length());
@@ -84,7 +94,7 @@ TEST(DetectorConformanceTest, EveryDetectorScoresFiniteAndFullLength) {
 
 TEST(DetectorConformanceTest, EveryDetectorIsDeterministicAcrossRuns) {
   const auto ds = Fixture();
-  for (const auto& name : eval::AllDetectorNames()) {
+  for (const auto& name : RegistryNames()) {
     SCOPED_TRACE(name);
     const auto first = FitAndScore(name, ds);
     const auto second = FitAndScore(name, ds);

@@ -1,10 +1,11 @@
 // Model-health validation units: the HealthRef calibration contract
-// (core/health.h — histogram binning, total-variation distance,
-// validation of untrusted artifact bytes) and the HealthMonitor's
-// per-signal hysteresis over its five signals (serve/health_monitor.h —
-// one event per excursion per signal, severity-ordered single event per
-// update, drift-vs-degradation classification, per-signal windows and
-// enablement, cold-start silence). The hysteresis cases run twice: once
+// (core/health.h — calibration from scores or from a series, histogram
+// binning, total-variation distance, validation of untrusted artifact
+// bytes) and the HealthMonitor's per-signal hysteresis over its five
+// signals (serve/health_monitor.h — one event per excursion per signal,
+// severity-ordered single event per update, drift-vs-degradation
+// classification, per-signal windows and enablement, cold-start
+// silence). The hysteresis cases run twice: once
 // on score shift, a health-ring gauge, and once on drift, which has its
 // own ring and threshold.
 
@@ -15,8 +16,10 @@
 #include <limits>
 #include <vector>
 
+#include "core/ensemble.h"
 #include "core/health.h"
 #include "serve/health_monitor.h"
+#include "test_util.h"
 
 namespace caee {
 namespace {
@@ -68,6 +71,53 @@ TEST(HealthRefTest, CalibrationRejectsDegenerateInput) {
   std::vector<double> with_nan = scores;
   with_nan[50] = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(core::CalibrateHealthRef(with_nan, dispersions).ok());
+}
+
+// The series form scores every full window through ScoreWindowsLastInto,
+// the serving entry point, in chunks of 256: the reference is the one a
+// single batch over all windows gives, across chunk boundaries too.
+TEST(HealthRefTest, CalibrationFromASeriesScoresEveryWindow) {
+  core::EnsembleConfig config;
+  config.cae.embed_dim = 6;
+  config.cae.num_layers = 1;
+  config.window = 6;
+  config.num_models = 3;
+  config.epochs_per_model = 1;
+  config.max_train_windows = 64;
+  core::CaeEnsemble ensemble(config);
+  ASSERT_TRUE(ensemble.Fit(testutil::PlantedSeries(200, 2, 3)).ok());
+
+  const ts::TimeSeries series = testutil::PlantedSeries(600, 2, 4, {300});
+  const int64_t windows = series.length() - config.window + 1;  // 3 chunks
+  std::vector<float> all;
+  for (int64_t i = 0; i < windows; ++i) {
+    all.insert(all.end(), series.row(i),
+               series.row(i) + config.window * series.dims());
+  }
+  std::vector<double> scores, dispersions;
+  ASSERT_TRUE(
+      ensemble.ScoreWindowsLastInto(all.data(), windows, &scores, &dispersions)
+          .ok());
+  const auto expected = core::CalibrateHealthRef(scores, dispersions);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  const auto ref = core::CalibrateHealthRef(ensemble, series);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  EXPECT_EQ(ref->count, windows);
+  EXPECT_EQ(ref->min, expected->min);
+  EXPECT_EQ(ref->max, expected->max);
+  EXPECT_EQ(ref->mean, expected->mean);
+  EXPECT_EQ(ref->stddev, expected->stddev);
+  EXPECT_EQ(ref->mean_dispersion, expected->mean_dispersion);
+  EXPECT_EQ(ref->bins, expected->bins);
+
+  const ts::TimeSeries wide = testutil::PlantedSeries(100, 3, 4);
+  EXPECT_EQ(core::CalibrateHealthRef(ensemble, wide).status().code(),
+            StatusCode::kInvalidArgument);
+  const ts::TimeSeries short_series =
+      testutil::PlantedSeries(config.window - 1, 2, 4);
+  EXPECT_EQ(core::CalibrateHealthRef(ensemble, short_series).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(HealthRefTest, BinIndexClampsTheTails) {

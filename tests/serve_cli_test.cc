@@ -9,6 +9,9 @@
 // A monitor threshold flag must be a finite number > 0: `nan` or `inf`
 // would arm a signal that can never fire, so the run is refused with an
 // error naming the flag.
+//
+// `caee_repair`'s output must hot-swap into the server that runs its input
+// artifact, `--health` included, as the drift advisory promises.
 
 #include <gtest/gtest.h>
 
@@ -41,13 +44,11 @@ std::string Base(const std::string& name) {
   return ::testing::TempDir() + "/serve_cli_" + name;
 }
 
-// Run caee_serve with `args` on the input file `base`.txt and collect its
-// exit code and stderr.
-Outcome RunServe(const std::string& base, const std::string& args) {
-  const std::string command = std::string(CAEE_SERVE_BIN) + " " + args +
-                              " --input '" + base + ".txt' > /dev/null 2> '" +
-                              base + ".err'";
-  const int status = std::system(command.c_str());
+// Run `command` with stdout discarded and stderr sent to `base`.err, and
+// collect its exit code and stderr.
+Outcome RunCommand(const std::string& base, const std::string& command) {
+  const int status = std::system(
+      (command + " > /dev/null 2> '" + base + ".err'").c_str());
   Outcome run;
   if (status != -1 && WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
   std::ifstream err(base + ".err");
@@ -55,6 +56,12 @@ Outcome RunServe(const std::string& base, const std::string& args) {
   ss << err.rdbuf();
   run.err = ss.str();
   return run;
+}
+
+// Run caee_serve with `args` on the input file `base`.txt.
+Outcome RunServe(const std::string& base, const std::string& args) {
+  return RunCommand(base, std::string(CAEE_SERVE_BIN) + " " + args +
+                              " --input '" + base + ".txt'");
 }
 
 Outcome EncodeFrames(const std::string& name, const std::string& text) {
@@ -121,14 +128,21 @@ class ServeCliMonitorTest : public ::testing::Test {
                                   &health.value())
                    .ok());
 
+    WriteSession("session", "");
+  }
+
+  // One SPOT stream over the 80 rows in `session`.txt, with `reload_line`
+  // after row 60 when it is not empty.
+  static void WriteSession(const std::string& session,
+                           const std::string& reload_line) {
     const ts::TimeSeries stream = testutil::PlantedSeries(80, 2, 5);
-    std::ofstream session(Base("session") + ".txt");
-    session << "open,0,spot\n";
+    std::ofstream out(Base(session) + ".txt");
+    out << "open,0,spot\n";
     for (int64_t t = 0; t < stream.length(); ++t) {
-      session << "0," << stream.value(t, 0) << "," << stream.value(t, 1)
-              << "\n";
+      out << "0," << stream.value(t, 0) << "," << stream.value(t, 1) << "\n";
+      if (t == 59 && !reload_line.empty()) out << reload_line << "\n";
     }
-    session << "close,0\n";
+    out << "close,0\n";
   }
 
   static Outcome Serve(const std::string& flags) {
@@ -175,6 +189,41 @@ TEST_F(ServeCliMonitorTest, FiniteThresholdsServeAndAlert) {
   EXPECT_NE(shift.err.find("health alert (data-drift): score-shift "),
             std::string::npos)
       << shift.err;
+}
+
+// The remedy the drift advisory names: repair the recently served rows
+// with caee_repair, then reload the result into the running server. Under
+// --health the reload needs a health section, and the canary judges the
+// served windows against it.
+TEST_F(ServeCliMonitorTest, RepairedArtifactReloadsUnderHealth) {
+  const ts::TimeSeries stream = testutil::PlantedSeries(80, 2, 5);
+  {
+    std::ofstream recent(Base("recent") + ".csv");
+    for (int64_t t = 0; t < stream.length(); ++t) {
+      recent << stream.value(t, 0) << "," << stream.value(t, 1) << "\n";
+    }
+  }
+  const std::string repaired = Base("repaired") + ".caee";
+  const Outcome repair = RunCommand(
+      Base("repair"), std::string(CAEE_REPAIR_BIN) + " --model '" +
+                          Base("model") + ".caee' --input '" + Base("recent") +
+                          ".csv' --output '" + repaired + "'");
+  ASSERT_EQ(repair.exit_code, 0) << repair.err;
+  EXPECT_NE(repair.err.find("recalibrated health reference"),
+            std::string::npos)
+      << repair.err;
+
+  WriteSession("swap", "reload," + repaired);
+  const Outcome run = RunServe(
+      Base("swap"),
+      "--model '" + Base("model") + ".caee' --streams --flush-ms 0 --health");
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_NE(run.err.find("reloaded: now serving generation 2"),
+            std::string::npos)
+      << run.err;
+  EXPECT_NE(run.err.find("generation 2 live after 1 reload(s), 0 rejected"),
+            std::string::npos)
+      << run.err;
 }
 
 #else
