@@ -8,9 +8,10 @@
 // (tests/serve_test.cc, tests/hot_swap_test.cc, tests/alloc_count_test.cc).
 //
 // Two kinds of row:
-//   micro/<op>/<shape>/t<threads>/<naive|opt>  one kernel call at a
+//   micro/<op>/<shape>/t1/<naive|opt>  one kernel call at a
 //       CAE-representative shape, the naive loop of kernels/reference.h
-//       next to the optimized op; a "window" here is one call.
+//       next to the optimized op; a "window" here is one call. Kernels run
+//       on their caller's thread, so every row is a one-thread row.
 //   serve/streams<S>[/idle<I>][/shards<N>]/batch<B>[/spot][/health]
 //       [/reloads<R>]  one Cell: a small trained ensemble (w=8, D'=8,
 //       L=1, 4 dims) behind a serve::ServingEngine. The streams=1/batch1
@@ -41,7 +42,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/health.h"
 #include "core/persistence.h"
 #include "core/spot.h"
@@ -86,11 +86,8 @@ double NsPerCall(const std::function<void()>& run) {
 
 void KernelRows(std::vector<Row>* rows) {
   auto time = [rows](const std::string& op, const std::string& shape,
-                     size_t threads, const char* impl,
-                     const std::function<void()>& run) {
-    SetGlobalParallelism(threads);
-    const std::string name = "micro/" + op + "/" + shape + "/t" +
-                             std::to_string(threads) + "/" + impl;
+                     const char* impl, const std::function<void()>& run) {
+    const std::string name = "micro/" + op + "/" + shape + "/t1/" + impl;
     Report(name, NsPerCall(run), rows);
   };
 
@@ -111,31 +108,31 @@ void KernelRows(std::vector<Row>* rows) {
     const std::string shape =
         "B" + std::to_string(s.b) + "_W" + std::to_string(s.w) + "_C" +
         std::to_string(s.c) + "_K" + std::to_string(s.k);
-    time("conv1d_fwd", shape, 1, "naive", [&] {
+    time("conv1d_fwd", shape, "naive", [&] {
       kernels::reference::Conv1dForward(x.data(), w.data(), bias.data(),
                                         y.data(), s.b, s.w, s.c, s.c, s.k, 1,
                                         s.w);
       g_sink += y.data()[0];
     });
-    time("conv1d_fwd", shape, 1, "opt",
+    time("conv1d_fwd", shape, "opt",
          [&] { g_sink += ops::Conv1d(x, w, bias, 1, 1).data()[0]; });
-    time("conv1d_bwd_input", shape, 1, "naive", [&] {
+    time("conv1d_bwd_input", shape, "naive", [&] {
       dx.Zero();
       kernels::reference::Conv1dBackwardInput(dy.data(), w.data(), dx.data(),
                                               s.b, s.w, s.c, s.c, s.k, 1,
                                               s.w);
       g_sink += dx.data()[0];
     });
-    time("conv1d_bwd_input", shape, 1, "opt",
+    time("conv1d_bwd_input", shape, "opt",
          [&] { g_sink += ops::Conv1dBackwardInput(dy, w, s.w, 1).data()[0]; });
-    time("conv1d_bwd_weight", shape, 1, "naive", [&] {
+    time("conv1d_bwd_weight", shape, "naive", [&] {
       dw.Zero();
       kernels::reference::Conv1dBackwardWeight(dy.data(), x.data(), dw.data(),
                                                s.b, s.w, s.c, s.c, s.k, 1,
                                                s.w);
       g_sink += dw.data()[0];
     });
-    time("conv1d_bwd_weight", shape, 1, "opt",
+    time("conv1d_bwd_weight", shape, "opt",
          [&] { g_sink += ops::Conv1dBackwardWeight(dy, x, s.k, 1).data()[0]; });
   }
 
@@ -146,27 +143,12 @@ void KernelRows(std::vector<Row>* rows) {
     Tensor c = Tensor::Uninitialized({n, n});
     const std::string shape = std::to_string(n) + "x" + std::to_string(n) +
                               "x" + std::to_string(n);
-    time("matmul", shape, 1, "naive", [&] {
+    time("matmul", shape, "naive", [&] {
       kernels::reference::MatMul(a.data(), n, false, b.data(), n, false,
                                  c.data(), n, n, n);
       g_sink += c.data()[0];
     });
-    time("matmul", shape, 1, "opt",
-         [&] { g_sink += ops::MatMul(a, b).data()[0]; });
-  }
-
-  // The biggest shapes again on four threads (equal to t1 on a one-core
-  // box, which still shows the dispatch overhead is bounded).
-  {
-    Rng rng(13);
-    Tensor x = Tensor::Randn({64, 64, 128}, &rng);
-    Tensor w = Tensor::Randn({128, 3, 128}, &rng, 0.1f);
-    Tensor bias = Tensor::Randn({128}, &rng);
-    Tensor a = Tensor::Randn({128, 128}, &rng);
-    Tensor b = Tensor::Randn({128, 128}, &rng);
-    time("conv1d_fwd", "B64_W64_C128_K3", 4, "opt",
-         [&] { g_sink += ops::Conv1d(x, w, bias, 1, 1).data()[0]; });
-    time("matmul", "128x128x128", 4, "opt",
+    time("matmul", shape, "opt",
          [&] { g_sink += ops::MatMul(a, b).data()[0]; });
   }
 
@@ -178,19 +160,18 @@ void KernelRows(std::vector<Row>* rows) {
     Tensor acc(x.shape());
     Tensor sm = Tensor::Randn({64, 16, 16}, &rng);
     const std::string shape = "B64_W64_C128";
-    time("sigmoid", shape, 1, "opt",
+    time("sigmoid", shape, "opt",
          [&] { g_sink += ops::Sigmoid(x).data()[0]; });
-    time("add", shape, 1, "opt", [&] { g_sink += ops::Add(x, y).data()[0]; });
-    time("axpy", shape, 1, "opt", [&] {
+    time("add", shape, "opt", [&] { g_sink += ops::Add(x, y).data()[0]; });
+    time("axpy", shape, "opt", [&] {
       ops::AxpyInPlace(0.0f, x, &acc);  // alpha = 0 keeps acc stable
       g_sink += acc.data()[0];
     });
-    time("sq_err", shape, 1, "opt",
+    time("sq_err", shape, "opt",
          [&] { g_sink += ops::SquaredErrorPerPosition(x, y)[0]; });
-    time("softmax", "64x16x16", 1, "opt",
+    time("softmax", "64x16x16", "opt",
          [&] { g_sink += ops::SoftmaxLastDim(sm).data()[0]; });
   }
-  SetGlobalParallelism(0);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 // signature stays dense-AE sized on high-dimensional data (WADI: 127 dims);
 // the conv-LSTM stack of the original is replaced by a dense autoencoder.
 // The defining behaviour — scoring via correlation-structure reconstruction
-// error — is preserved (see DESIGN.md substitutions).
+// error — is preserved. Why a dense autoencoder replaces the conv-LSTM
+// stack is not recorded.
 
 #ifndef CAEE_BASELINES_MSCRED_LITE_H_
 #define CAEE_BASELINES_MSCRED_LITE_H_

@@ -3,7 +3,8 @@
 // decoder, ELBO-style training. The planar normalizing flows and linear
 // Gaussian state-space prior of the original are omitted — the defining
 // behaviour exercised by the paper's comparison (temporal stochastic latent
-// modelling with reconstruction-based scoring) is preserved. See DESIGN.md.
+// modelling with reconstruction-based scoring) is preserved. Why the flows
+// and the state-space prior were left out is not recorded.
 
 #ifndef CAEE_BASELINES_OMNI_ANOMALY_LITE_H_
 #define CAEE_BASELINES_OMNI_ANOMALY_LITE_H_

@@ -8,28 +8,14 @@ namespace caee {
 namespace {
 std::atomic<size_t> g_parallelism{0};  // 0 = hardware default
 thread_local bool t_in_pool_worker = false;
-thread_local size_t t_thread_cap = 0;  // 0 = uncapped
 
-// Global level narrowed by the active ParallelismCap and an optional
-// per-call bound.
+// Global level narrowed by an optional per-call bound.
 size_t EffectiveParallelism(size_t max_threads) {
   size_t n = GetGlobalParallelism();
-  if (t_thread_cap != 0 && t_thread_cap < n) n = t_thread_cap;
   if (max_threads != 0 && max_threads < n) n = max_threads;
   return n;
 }
 }  // namespace
-
-ParallelismCap::ParallelismCap(size_t max_threads) : prev_(t_thread_cap) {
-  if (max_threads != 0) {
-    t_thread_cap =
-        prev_ == 0 ? max_threads : std::min(prev_, max_threads);
-  }
-}
-
-ParallelismCap::~ParallelismCap() { t_thread_cap = prev_; }
-
-size_t ParallelismCap::Current() { return t_thread_cap; }
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
@@ -54,14 +40,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 bool ThreadPool::InWorker() { return t_in_pool_worker; }
@@ -78,11 +58,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) done_cv_.notify_all();
-    }
   }
 }
 
@@ -125,16 +100,27 @@ void ParallelForRangeDispatch(size_t n,
                               const std::function<void(size_t, size_t)>& fn,
                               size_t min_chunk, size_t max_threads) {
   const size_t threads = EffectiveParallelism(max_threads);
-  ThreadPool& pool = ThreadPool::Global();
   const size_t chunks = std::min(threads, (n + min_chunk - 1) / min_chunk);
   const size_t chunk_size = (n + chunks - 1) / chunks;
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = c * chunk_size;
+  // Other threads may be fanning out over the same pool at the same time
+  // (one serving shard per caller), so this call counts down its own
+  // chunks instead of waiting for the whole pool to go idle. The last
+  // chunk notifies under the lock: the waiter cannot return, and destroy
+  // these locals, before that chunk has released them.
+  std::mutex mu;
+  std::condition_variable done;
+  size_t pending = (n + chunk_size - 1) / chunk_size;
+  ThreadPool& pool = ThreadPool::Global();
+  for (size_t begin = 0; begin < n; begin += chunk_size) {
     const size_t end = std::min(n, begin + chunk_size);
-    if (begin >= end) break;
-    pool.Submit([begin, end, &fn] { fn(begin, end); });
+    pool.Submit([begin, end, &fn, &mu, &done, &pending] {
+      fn(begin, end);
+      std::lock_guard<std::mutex> lock(mu);
+      if (--pending == 0) done.notify_one();
+    });
   }
-  pool.Wait();
+  std::unique_lock<std::mutex> lock(mu);
+  done.wait(lock, [&pending] { return pending == 0; });
 }
 
 }  // namespace internal

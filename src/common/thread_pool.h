@@ -1,8 +1,11 @@
 // Fixed-size thread pool plus a ParallelFor helper.
 //
-// The CAE's efficiency claim rests on convolution being parallel across
-// timestamps / batch elements, unlike the recurrent baselines. ParallelFor is
-// the primitive the tensor kernels use to realise that parallelism on CPU.
+// One level of parallelism: only the coarse, top-level loops fan out over
+// the pool — the ensemble's member, batch and (member x batch) loops, and
+// the O(n^2) row loops of the OCSVM and LOF baselines. Everything below
+// them, every kernel included, runs on its caller's thread. A loop started
+// inside a pool worker runs inline, so a nested fan-out never blocks a
+// worker on its own pool.
 
 #ifndef CAEE_COMMON_THREAD_POOL_H_
 #define CAEE_COMMON_THREAD_POOL_H_
@@ -21,6 +24,7 @@ class ThreadPool {
  public:
   /// \brief Creates `num_threads` workers (>= 1).
   explicit ThreadPool(size_t num_threads);
+  /// \brief Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -29,17 +33,12 @@ class ThreadPool {
   /// \brief Enqueue a task; returns immediately.
   void Submit(std::function<void()> task);
 
-  /// \brief Block until all submitted tasks have finished.
-  void Wait();
-
-  size_t num_threads() const { return workers_.size(); }
-
   /// \brief Process-wide pool (lazily created, hardware_concurrency sized).
   static ThreadPool& Global();
 
   /// \brief True when the calling thread is a pool worker. Parallel helpers
-  /// use this to run nested loops inline: a worker that blocked in Wait()
-  /// on its own pool would deadlock once every worker did the same.
+  /// use this to run nested loops inline: a worker that blocked on its own
+  /// pool would deadlock once every worker did the same.
   static bool InWorker();
 
  private:
@@ -49,32 +48,19 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable task_cv_;
-  std::condition_variable done_cv_;
-  size_t in_flight_ = 0;
   bool stop_ = false;
 };
 
-/// \brief RAII guard bounding the parallelism of ParallelFor /
-/// ParallelForRange calls made on the current thread while it is alive.
-/// `max_threads` = 1 forces inline serial execution, 0 is a no-op; nested
-/// caps only narrow (the effective cap is the minimum of the active ones).
-/// The ensemble engine uses it so EnsembleConfig::num_threads bounds the
-/// tensor kernels dispatched from the orchestrating thread too, and
-/// num_threads == 1 means fully sequential — not just a serial ensemble
-/// loop over still-parallel kernels.
+/// \brief Has no effect. Kernels no longer fan out, so there is nothing
+/// left for a per-thread bound to narrow; the class remains only because
+/// benchmark/src/trace.cc still constructs one, and goes with the next
+/// change to the benchmark.
 class ParallelismCap {
  public:
-  explicit ParallelismCap(size_t max_threads);
-  ~ParallelismCap();
+  explicit ParallelismCap(size_t /*max_threads*/) {}
 
   ParallelismCap(const ParallelismCap&) = delete;
   ParallelismCap& operator=(const ParallelismCap&) = delete;
-
-  /// \brief The cap active on this thread (0 = uncapped).
-  static size_t Current();
-
- private:
-  size_t prev_;
 };
 
 namespace internal {
@@ -82,13 +68,14 @@ namespace internal {
 /// \brief True when a parallel helper should fan out to the pool for `n`
 /// items at the given serial threshold; false selects the inline serial
 /// path (single effective thread, small n, or already inside a pool
-/// worker — the nested-Wait deadlock guard).
+/// worker — the nested-dispatch deadlock guard).
 bool ShouldDispatch(size_t n, size_t serial_threshold, size_t max_threads);
 
-/// \brief Pool fan-out shared by the ParallelFor templates. Only reached
-/// when ShouldDispatch returned true; type-erases the callable at the
-/// latest possible point so the serial fast path never touches
-/// std::function (and therefore never heap-allocates).
+/// \brief Pool fan-out behind ParallelFor. Only reached when ShouldDispatch
+/// returned true; type-erases the callable at the latest possible point so
+/// the serial fast path never touches std::function (and therefore never
+/// heap-allocates). Returns once this call's own chunks are done, whatever
+/// else the pool is running.
 void ParallelForRangeDispatch(size_t n,
                               const std::function<void(size_t, size_t)>& fn,
                               size_t min_chunk, size_t max_threads);
@@ -98,9 +85,9 @@ void ParallelForRangeDispatch(size_t n,
 /// \brief Run fn(i) for i in [0, n), split into contiguous grains across the
 /// global pool. Falls back to serial execution for small n. `max_threads`
 /// additionally bounds the fan-out (0 = no extra bound beyond the global
-/// level and any active ParallelismCap). The serial path invokes the
-/// callable directly — no std::function construction, no allocation — which
-/// is what keeps capped (num_threads == 1) kernel dispatch allocation-free.
+/// level). The serial path invokes the callable directly — no std::function
+/// construction, no allocation — which is what keeps a sequential
+/// (num_threads == 1) ensemble allocation-free.
 template <typename F>
 void ParallelFor(size_t n, const F& fn, size_t grain = 64,
                  size_t max_threads = 0) {
@@ -115,19 +102,6 @@ void ParallelFor(size_t n, const F& fn, size_t grain = 64,
         for (size_t i = begin; i < end; ++i) fn(i);
       },
       grain, max_threads);
-}
-
-/// \brief Range version: fn(begin, end) per chunk; lower overhead for tight
-/// loops. Same allocation-free serial fast path as ParallelFor.
-template <typename F>
-void ParallelForRange(size_t n, const F& fn, size_t min_chunk = 256,
-                      size_t max_threads = 0) {
-  if (n == 0) return;
-  if (!internal::ShouldDispatch(n, min_chunk, max_threads)) {
-    fn(0, n);
-    return;
-  }
-  internal::ParallelForRangeDispatch(n, fn, min_chunk, max_threads);
 }
 
 /// \brief Override the parallelism used by ParallelFor (0 = hardware).

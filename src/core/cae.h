@@ -1,8 +1,9 @@
 // CAE: convolutional sequence-to-sequence autoencoder (paper Sec. 3.1).
 //
 // Operates in embedding space: the input is an already-embedded window
-// X (B, w, D') produced by the ensemble-level WindowEmbedding (see DESIGN.md
-// "Embedding scope"). Architecture per the paper:
+// X (B, w, D') produced by the ensemble-level WindowEmbedding, which every
+// member shares frozen (core/ensemble.h says why). Architecture per the
+// paper:
 //
 //   encoder:  L x [ GLU (same-pad conv gates) -> conv (same pad) -> f_E ]
 //             with residual skip connections                       (Eq. 3-5)
@@ -44,7 +45,9 @@ struct CaeConfig {
   AttentionMode attention = AttentionMode::kAllLayers;
   nn::Activation enc_act = nn::Activation::kRelu;   // f_E
   nn::Activation dec_act = nn::Activation::kRelu;   // f_D
-  nn::Activation recon_act = nn::Activation::kIdentity;  // f_R (see DESIGN.md)
+  // f_R. Identity: the target X is the linear embedding's output, signed
+  // and unbounded, which a ReLU or sigmoid head could not reproduce.
+  nn::Activation recon_act = nn::Activation::kIdentity;
 };
 
 class Cae : public nn::Module {

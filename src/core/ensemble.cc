@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -28,7 +31,84 @@ constexpr size_t kSlotEmbed = 1;
 constexpr size_t kSlotRecon = 2;
 constexpr size_t kSlotPlanBase = 3;
 
+// Fan-out width of EnsembleConfig::num_threads: 0 = the global level (all
+// cores unless overridden), 1 = sequential, n = at most n. The member,
+// batch and (member x batch) loops pass it to ParallelFor with one item
+// per grain; everything they call runs on the worker that took the item.
+size_t FanOutThreads(int64_t num_threads) {
+  const size_t global = GetGlobalParallelism();
+  return num_threads <= 0
+             ? global
+             : std::min(static_cast<size_t>(num_threads), global);
+}
+
+// fn(b) for b in [0, n), run on `workers` pool workers in contiguous
+// chunks, each chunk in ascending b, while the constructing thread goes on
+// with other work: Await(b) returns once item b is done, and the
+// destructor waits for every item. With workers == 0, or on a pool worker
+// (which must not wait on its own pool), every item runs inline in the
+// constructor.
+class BackgroundFor {
+ public:
+  BackgroundFor(size_t n, size_t workers, std::function<void(size_t)> fn)
+      : fn_(std::move(fn)), done_(n, false) {
+    if (workers == 0 || n == 0 || ThreadPool::InWorker()) {
+      for (size_t b = 0; b < n; ++b) fn_(b);
+      done_.assign(n, true);
+      return;
+    }
+    const size_t chunks = std::min(workers, n);
+    const size_t chunk = (n + chunks - 1) / chunks;
+    for (size_t begin = 0; begin < n; begin += chunk) {
+      const size_t end = std::min(n, begin + chunk);
+      ++running_;
+      ThreadPool::Global().Submit([this, begin, end] {
+        for (size_t b = begin; b < end; ++b) {
+          fn_(b);
+          std::lock_guard<std::mutex> lock(mu_);
+          done_[b] = true;
+          cv_.notify_all();
+        }
+        // Notified under the lock: the destructor cannot return, and free
+        // this object, before the task has let go of it.
+        std::lock_guard<std::mutex> lock(mu_);
+        if (--running_ == 0) cv_.notify_all();
+      });
+    }
+  }
+
+  ~BackgroundFor() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return running_ == 0; });
+  }
+
+  BackgroundFor(const BackgroundFor&) = delete;
+  BackgroundFor& operator=(const BackgroundFor&) = delete;
+
+  void Await(size_t b) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this, b] { return done_[b]; });
+  }
+
+ private:
+  const std::function<void(size_t)> fn_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<bool> done_;
+  size_t running_ = 0;
+};
+
 }  // namespace
+
+std::vector<MemberRngStreams> ForkMemberStreams(Rng* root,
+                                                int64_t num_models) {
+  std::vector<MemberRngStreams> streams;
+  streams.reserve(static_cast<size_t>(num_models));
+  for (int64_t mi = 0; mi < num_models; ++mi) {
+    streams.push_back({root->Fork(), root->Fork(), root->Fork()});
+  }
+  return streams;
+}
 
 CaeEnsemble::CaeEnsemble(const EnsembleConfig& config) : config_(config) {
   CAEE_CHECK_MSG(config_.num_models >= 1, "need at least one basic model");
@@ -198,8 +278,7 @@ Status CaeEnsemble::Fit(const ts::TimeSeries& train) {
   Rng rng(config_.seed);
   models_.clear();
   stats_ = TrainStats{};
-  const EngineScope engine(config_.num_threads);
-  const ParallelTrainer& trainer = engine.trainer();
+  const size_t threads = FanOutThreads(config_.num_threads);
 
   // Auto-size the embedding from the input dimensionality (D' = 0 means
   // "pick for me"): wide enough to carry the signal, small enough for CPU
@@ -267,10 +346,13 @@ Status CaeEnsemble::Fit(const ts::TimeSeries& train) {
   }
   const size_t num_batches = batch_indices.size();
   std::vector<Tensor> embedded_batches(num_batches);
-  trainer.Run(num_batches, [&](size_t b) {
-    embedded_batches[b] =
-        EmbedConstant(dataset.GetBatch(batch_indices[b]))->value();
-  });
+  ParallelFor(
+      num_batches,
+      [&](size_t b) {
+        embedded_batches[b] =
+            EmbedConstant(dataset.GetBatch(batch_indices[b]))->value();
+      },
+      /*grain=*/1, threads);
 
   // Scale for denoising noise: relative to the embedded signal's std so the
   // configured denoise_std means "fraction of signal scale" regardless of
@@ -305,48 +387,68 @@ Status CaeEnsemble::Fit(const ts::TimeSeries& train) {
 
   if (independent_members) {
     models_.resize(static_cast<size_t>(config_.num_models));
-    trainer.Run(static_cast<size_t>(config_.num_models), [&](size_t mi) {
-      models_[mi] = TrainMember(static_cast<int64_t>(mi), &streams[mi],
-                                trainer, embedded_batches, embed_std,
-                                /*ensemble_output_sum=*/nullptr,
-                                /*transfer_from=*/nullptr,
-                                &stats_.per_model_epoch_loss[mi]);
-    });
+    ParallelFor(
+        static_cast<size_t>(config_.num_models),
+        [&](size_t mi) {
+          models_[mi] = TrainMember(static_cast<int64_t>(mi), &streams[mi],
+                                    threads, embedded_batches, embed_std,
+                                    /*ensemble_output_sum=*/{},
+                                    /*transfer_from=*/nullptr,
+                                    &stats_.per_model_epoch_loss[mi]);
+        },
+        /*grain=*/1, threads);
     stats_.parameters_per_model = models_.front()->NumParameters();
   } else {
     // Paper-faithful generation chain: model mi starts from a β-masked copy
     // of model mi-1 and is pushed away from the frozen ensemble mean, so
-    // members train in sequence; the engine parallelises the work inside
-    // each member (noise generation, batch kernels) and the frozen-model
-    // output pass below.
+    // members train in sequence. Beside them run the batch loops inside
+    // each member (noise generation) and each member's frozen-model output
+    // pass, which overlaps the next member's training.
     //
     // Running sum of frozen-model outputs per batch, to form F(X) = mean of
     // previously trained models for the diversity term (Eq. 12).
     std::vector<Tensor> ensemble_output_sum(num_batches);
+    std::optional<infer::CaePlan> frozen;  // the member the pass runs
+    std::optional<BackgroundFor> pass;     // joined before `frozen` changes
+    std::function<const Tensor&(size_t)> output_sum;
+    if (config_.diversity_enabled) {
+      output_sum = [&](size_t b) -> const Tensor& {
+        pass->Await(b);
+        return ensemble_output_sum[b];
+      };
+    }
     for (int64_t mi = 0; mi < config_.num_models; ++mi) {
       auto model = TrainMember(
-          mi, &streams[static_cast<size_t>(mi)], trainer, embedded_batches,
-          embed_std,
-          config_.diversity_enabled ? &ensemble_output_sum : nullptr,
+          mi, &streams[static_cast<size_t>(mi)], threads, embedded_batches,
+          embed_std, output_sum,
           (mi > 0 && config_.transfer_enabled) ? models_.back().get()
                                                : nullptr,
           &stats_.per_model_epoch_loss[static_cast<size_t>(mi)]);
       if (mi == 0) stats_.parameters_per_model = model->NumParameters();
 
-      // Freeze the model and fold its outputs into the ensemble mean cache
-      // (per-batch independent -> fanned out). Only needed while a later
-      // model will still consume the diversity term.
+      // Freeze the model and fold its outputs into the ensemble mean cache.
+      // Only needed while a later model will still consume the diversity
+      // term. The pass is forward only, so it runs the compiled plan
+      // (bitwise equal to Reconstruct) on each worker's arena. It takes
+      // threads - 1 workers, the training thread being the other one, and
+      // the next member awaits each batch's sum just before reading it.
+      // One pass ends before the next starts, so every sum adds the members
+      // in order.
       if (config_.diversity_enabled && mi + 1 < config_.num_models) {
-        const Cae* frozen = model.get();
-        trainer.Run(num_batches, [&, frozen](size_t b) {
-          ag::Var out = frozen->Reconstruct(ag::Constant(embedded_batches[b]));
-          if (ensemble_output_sum[b].numel() == 0) {
-            ensemble_output_sum[b] = out->value();
-          } else {
-            for (int64_t i = 0; i < out->value().numel(); ++i) {
-              ensemble_output_sum[b][i] += out->value()[i];
-            }
+        pass.reset();
+        frozen.emplace(model->CompilePlan(kSlotPlanBase));
+        pass.emplace(num_batches, threads - 1, [&](size_t b) {
+          const Tensor& x = embedded_batches[b];
+          Tensor& sum = ensemble_output_sum[b];
+          infer::Arena& arena = infer::ThreadArena();
+          if (sum.numel() == 0) {
+            sum = Tensor::Uninitialized(x.shape());
+            frozen->Execute(x.data(), x.dim(0), x.dim(1), &arena, sum.data());
+            return;
           }
+          float* out = arena.Slot(kSlotRecon, static_cast<size_t>(x.numel()));
+          frozen->Execute(x.data(), x.dim(0), x.dim(1), &arena, out);
+          for (int64_t i = 0; i < x.numel(); ++i) sum[i] += out[i];
         });
       }
       models_.push_back(std::move(model));
@@ -360,10 +462,10 @@ Status CaeEnsemble::Fit(const ts::TimeSeries& train) {
 }
 
 std::unique_ptr<Cae> CaeEnsemble::TrainMember(
-    int64_t mi, MemberRngStreams* streams, const ParallelTrainer& trainer,
+    int64_t mi, MemberRngStreams* streams, size_t threads,
     const std::vector<Tensor>& embedded_batches, double embed_std,
-    const std::vector<Tensor>* ensemble_output_sum, const Cae* transfer_from,
-    std::vector<double>* epoch_losses) const {
+    const std::function<const Tensor&(size_t)>& ensemble_output_sum,
+    const Cae* transfer_from, std::vector<double>* epoch_losses) const {
   const size_t num_batches = embedded_batches.size();
   auto model = std::make_unique<Cae>(config_.cae, &streams->model);
   if (transfer_from != nullptr) {
@@ -386,13 +488,17 @@ std::unique_ptr<Cae> CaeEnsemble::TrainMember(
       for (size_t b = 0; b < num_batches; ++b) {
         batch_rngs.push_back(streams->noise.Fork());
       }
-      trainer.Run(num_batches, [&](size_t b) {
-        Tensor noisy = embedded_batches[b];
-        for (int64_t i = 0; i < noisy.numel(); ++i) {
-          noisy[i] += static_cast<float>(batch_rngs[b].Gaussian(0.0, sigma));
-        }
-        noisy_batches[b] = std::move(noisy);
-      });
+      ParallelFor(
+          num_batches,
+          [&](size_t b) {
+            Tensor noisy = embedded_batches[b];
+            for (int64_t i = 0; i < noisy.numel(); ++i) {
+              noisy[i] +=
+                  static_cast<float>(batch_rngs[b].Gaussian(0.0, sigma));
+            }
+            noisy_batches[b] = std::move(noisy);
+          },
+          /*grain=*/1, threads);
     }
 
     double epoch_loss = 0.0;
@@ -410,8 +516,8 @@ std::unique_ptr<Cae> CaeEnsemble::TrainMember(
           static_cast<double>(epoch) <
           config_.diversity_epoch_fraction *
               static_cast<double>(config_.epochs_per_model);
-      if (mi > 0 && ensemble_output_sum != nullptr && diversity_active) {
-        Tensor f = (*ensemble_output_sum)[b];
+      if (mi > 0 && ensemble_output_sum && diversity_active) {
+        Tensor f = ensemble_output_sum(b);
         for (int64_t i = 0; i < f.numel(); ++i) {
           f[i] /= static_cast<float>(mi);
         }
@@ -450,23 +556,30 @@ std::unique_ptr<Cae> CaeEnsemble::TrainMember(
 
 void CaeEnsemble::ForEachEmbeddedBatch(
     const ts::WindowDataset& dataset,
-    const std::vector<std::vector<int64_t>>& batches,
-    const ParallelTrainer& trainer,
+    const std::vector<std::vector<int64_t>>& batches, size_t threads,
     const std::function<void(size_t, size_t, const Tensor&)>& fn) const {
   // Waves of a few batches per worker bound residency: a long series
   // embedded whole would be a window-factor copy of it. Wave size does not
   // affect results (fn writes per-(member, batch) slots only).
   const size_t m = models_.size();
-  const size_t wave = std::max<size_t>(4, trainer.num_threads() * 4);
+  const size_t wave = std::max<size_t>(4, threads * 4);
   for (size_t wb = 0; wb < batches.size(); wb += wave) {
     const size_t we = std::min(batches.size(), wb + wave);
-    std::vector<Tensor> embedded(we - wb);
-    trainer.Run(we - wb, [&](size_t i) {
-      embedded[i] = EmbedBatch(dataset.GetBatch(batches[wb + i]));
-    });
-    trainer.RunGrid(m, we - wb, [&](size_t mi, size_t i) {
-      fn(mi, wb + i, embedded[i]);
-    });
+    const size_t cols = we - wb;
+    std::vector<Tensor> embedded(cols);
+    ParallelFor(
+        cols,
+        [&](size_t i) {
+          embedded[i] = EmbedBatch(dataset.GetBatch(batches[wb + i]));
+        },
+        /*grain=*/1, threads);
+    ParallelFor(
+        m * cols,
+        [&](size_t idx) {
+          const size_t i = idx % cols;
+          fn(idx / cols, wb + i, embedded[i]);
+        },
+        /*grain=*/1, threads);
   }
 }
 
@@ -482,8 +595,6 @@ StatusOr<std::vector<std::vector<double>>> CaeEnsemble::PerModelScores(
   }
   const ts::TimeSeries scaled = Preprocess(series);
   ts::WindowDataset dataset(scaled, config_.window);
-  const EngineScope engine(config_.num_threads);
-  const ParallelTrainer& trainer = engine.trainer();
 
   const auto m = models_.size();
   std::vector<WindowScoreAssembler> assemblers(
@@ -493,7 +604,7 @@ StatusOr<std::vector<std::vector<double>>> CaeEnsemble::PerModelScores(
   // pool, wave by wave. Each grid task writes only its own assembler
   // slots, so scores are bitwise identical at any thread count.
   const auto batches = dataset.Batches(config_.batch_size);
-  ForEachEmbeddedBatch(dataset, batches, trainer,
+  ForEachEmbeddedBatch(dataset, batches, FanOutThreads(config_.num_threads),
                        [&](size_t mi, size_t b, const Tensor& x) {
     const Tensor recon = ReconstructForward(mi, x);
     const auto errors = WindowErrors(x, recon);
@@ -509,7 +620,6 @@ StatusOr<std::vector<std::vector<double>>> CaeEnsemble::PerModelScores(
 
 StatusOr<std::vector<double>> CaeEnsemble::Score(
     const ts::TimeSeries& series) const {
-  const EngineScope engine(config_.num_threads);
   auto per_model = PerModelScores(series);
   if (!per_model.ok()) return per_model.status();
   return MedianAcrossModels(per_model.value());
@@ -523,15 +633,13 @@ StatusOr<double> CaeEnsemble::MeanReconstructionError(
   }
   const ts::TimeSeries scaled = Preprocess(series);
   ts::WindowDataset dataset(scaled, config_.window);
-  const EngineScope engine(config_.num_threads);
-  const ParallelTrainer& trainer = engine.trainer();
 
   // Per-(member, batch) partial sums, reduced in index order afterwards so
   // the result does not depend on task scheduling.
   const auto batches = dataset.Batches(config_.batch_size);
   const size_t m = models_.size();
   std::vector<double> partial(m * batches.size(), 0.0);
-  ForEachEmbeddedBatch(dataset, batches, trainer,
+  ForEachEmbeddedBatch(dataset, batches, FanOutThreads(config_.num_threads),
                        [&](size_t mi, size_t b, const Tensor& x) {
     const Tensor recon = ReconstructForward(mi, x);
     const Tensor& xv = x;
@@ -636,8 +744,6 @@ Status CaeEnsemble::ScoreWindowsLastInto(
   // B. All buffers below are grow-only (thread arenas, kernel scratch,
   // thread_local staging) — steady-state calls allocate nothing.
   const int64_t dp = config_.cae.embed_dim;
-  const EngineScope engine(config_.num_threads);
-  const ParallelTrainer& trainer = engine.trainer();
   infer::Arena& arena = infer::ThreadArena();
 
   const float* input = windows;
@@ -667,13 +773,8 @@ Status CaeEnsemble::ScoreWindowsLastInto(
     LastPositionErrorsRaw(x_ptr, recon, batch, w, dp,
                           errors_ptr + static_cast<int64_t>(mi) * batch);
   };
-  if (trainer.sequential()) {
-    // Inline loop: no std::function construction, keeping the sequential
-    // hot path allocation-free.
-    for (size_t mi = 0; mi < m; ++mi) score_member(mi);
-  } else {
-    trainer.Run(m, score_member);
-  }
+  ParallelFor(m, score_member, /*grain=*/1,
+              FanOutThreads(config_.num_threads));
 
   // Per-window median across members, reduced in index order (Eq. 15).
   scores->resize(static_cast<size_t>(batch));
@@ -705,17 +806,17 @@ StatusOr<double> CaeEnsemble::Diversity(const ts::TimeSeries& series) const {
   }
   const ts::TimeSeries scaled = Preprocess(series);
   ts::WindowDataset dataset(scaled, config_.window);
-  const EngineScope engine(config_.num_threads);
-  const ParallelTrainer& trainer = engine.trainer();
+  const size_t threads = FanOutThreads(config_.num_threads);
   DiversityAccumulator acc(num_models());
   // Batch-at-a-time (the accumulator is order-sensitive state); the M
   // forward passes per batch fan across the pool.
   for (const auto& batch : dataset.Batches(config_.batch_size)) {
     const Tensor x = EmbedBatch(dataset.GetBatch(batch));
     std::vector<Tensor> outputs(models_.size());
-    trainer.Run(models_.size(), [&](size_t mi) {
-      outputs[mi] = ReconstructForward(mi, x);
-    });
+    ParallelFor(
+        models_.size(),
+        [&](size_t mi) { outputs[mi] = ReconstructForward(mi, x); },
+        /*grain=*/1, threads);
     acc.AddBatch(outputs);
   }
   return acc.Value();

@@ -5,9 +5,11 @@
 // (Eq. 15).
 //
 // The window embedding is shared across basic models and fixed after random
-// initialisation (a random-features map), which keeps Algorithm 1's single
-// "X = Embedding(T_windows)" semantics and makes per-model errors
-// comparable; see DESIGN.md "Embedding scope" for the rationale.
+// initialisation (a random-features map). Algorithm 1 embeds the windows
+// once, before the member loop ("X = Embedding(T_windows)"); one frozen map
+// gives every member the same reconstruction target, so the per-model
+// errors Eq. 15 takes the median of live in one space, and the embedded
+// training batches are computed once for all members.
 
 #ifndef CAEE_CORE_ENSEMBLE_H_
 #define CAEE_CORE_ENSEMBLE_H_
@@ -16,8 +18,8 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/cae.h"
-#include "core/parallel_trainer.h"
 #include "infer/plan.h"
 #include "nn/embedding.h"
 #include "nn/serialize.h"
@@ -39,7 +41,10 @@ struct EnsembleConfig {
   int64_t epochs_per_model = 3;  // n in Sec. 3.2.1 (paper: 50 on GPU)
   int64_t batch_size = 64;
   float lr = 1e-3f;              // Adam, paper Sec. 4.1.5
-  float lambda = 0.5f;           // diversity weight λ (Eq. 13; stable range (0,1) under MSE-normalised J/K — see DESIGN.md)
+  /// Diversity weight λ (Eq. 13), stable in (0, 1): J and K are both MSEs,
+  /// so J − λ·K is unbounded below once λ >= 1 (diversity_cap_ratio guards
+  /// against that).
+  float lambda = 0.5f;
   float beta = 0.5f;             // parameter-transfer fraction β (Fig. 9)
   float grad_clip = 5.0f;        // global-norm clip (stability guard)
   /// Denoising training: Gaussian noise of this stddev (in embedded space)
@@ -83,15 +88,16 @@ struct EnsembleConfig {
   /// transfer this is what makes later basic models cheaper to train
   /// (Table 7's ensemble/single ratio < M).
   float early_stop_rel_tol = 0.0f;
-  /// Worker count for the parallel execution engine (see parallel_trainer.h):
-  /// batch pre-embedding, denoising-noise generation, the frozen-model
-  /// ensemble-output pass, per-member scoring, and — when transfer and
+  /// Worker count of the ensemble's fan-out: batch pre-embedding,
+  /// denoising-noise generation, the frozen-model ensemble-output pass
+  /// (which overlaps the next member's training on the other workers),
+  /// per-member and (member x batch) scoring, and — when transfer and
   /// diversity are both disabled — whole-member training all fan out over
-  /// common::ThreadPool::Global(). Anomaly scores are bitwise identical at
-  /// any thread count. The value bounds TOTAL parallelism — engine fan-out
-  /// and the tensor kernels dispatched under it (via ParallelismCap).
+  /// common::ThreadPool::Global(). It is the only level of parallelism:
+  /// the kernels under it run on the worker that called them. Anomaly
+  /// scores are bitwise identical at any thread count.
   /// 0 = global parallelism level (hardware concurrency unless overridden);
-  /// 1 = fully sequential fallback.
+  /// 1 = fully sequential; n = at most n workers.
   int64_t num_threads = 0;
   uint64_t seed = 7;
   bool verbose = false;
@@ -104,6 +110,18 @@ struct TrainStats {
   double train_seconds = 0.0;
   int64_t parameters_per_model = 0;
 };
+
+/// \brief Per-member RNG streams, pre-forked from the ensemble root RNG on
+/// the orchestrating thread so that stream contents are independent of
+/// execution order (and hence of thread count).
+struct MemberRngStreams {
+  Rng model;     // weight initialisation
+  Rng transfer;  // β Bernoulli mask (Fig. 9)
+  Rng noise;     // denoising input noise; forked again per (epoch, batch)
+};
+
+/// \brief Fork one stream triple per member, in member order.
+std::vector<MemberRngStreams> ForkMemberStreams(Rng* root, int64_t num_models);
 
 /// \brief Born-again parameter transfer (Fig. 9): copy an element-wise
 /// Bernoulli(beta) mask of `from`'s parameters into `to`. The modules must
@@ -250,24 +268,26 @@ class CaeEnsemble {
 
   /// \brief Shared scoring-path wave loop: embed `batches` a bounded wave
   /// at a time (O(threads) embedded tensors resident, not O(series)), then
-  /// fan fn(mi, batch_index, x) over the (member x wave) grid. fn must
-  /// write only state owned by its (mi, batch_index) slot.
+  /// fan fn(mi, batch_index, x) over the (member x wave) grid on at most
+  /// `threads` workers. fn must write only state owned by its
+  /// (mi, batch_index) slot.
   void ForEachEmbeddedBatch(
       const ts::WindowDataset& dataset,
-      const std::vector<std::vector<int64_t>>& batches,
-      const ParallelTrainer& trainer,
+      const std::vector<std::vector<int64_t>>& batches, size_t threads,
       const std::function<void(size_t, size_t, const Tensor&)>& fn) const;
 
   /// \brief Train one basic model on the pre-embedded batches.
-  /// `ensemble_output_sum` (running sum of frozen-model outputs, divided by
-  /// `mi` to form F(X) of Eq. 12) is null when the diversity term is off,
+  /// `ensemble_output_sum(b)` (running sum of frozen-model outputs on batch
+  /// b, divided by `mi` to form F(X) of Eq. 12; it may block until that
+  /// batch's sum is ready) is empty when the diversity term is off,
   /// `transfer_from` is null when β transfer is off. Safe to run
-  /// concurrently for different members when both are null.
+  /// concurrently for different members when both are unset. The
+  /// per-epoch batch loops fan out over at most `threads` workers.
   std::unique_ptr<Cae> TrainMember(
-      int64_t mi, MemberRngStreams* streams, const ParallelTrainer& trainer,
+      int64_t mi, MemberRngStreams* streams, size_t threads,
       const std::vector<Tensor>& embedded_batches, double embed_std,
-      const std::vector<Tensor>* ensemble_output_sum, const Cae* transfer_from,
-      std::vector<double>* epoch_losses) const;
+      const std::function<const Tensor&(size_t)>& ensemble_output_sum,
+      const Cae* transfer_from, std::vector<double>* epoch_losses) const;
 
   EnsembleConfig config_;
   ts::Scaler scaler_;

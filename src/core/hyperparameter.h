@@ -18,8 +18,9 @@ namespace core {
 
 struct HyperparameterRanges {
   // Paper: w = 2^k, k in [2, 8]; β = i/10, i in [1, 9]; λ = 2^j, j in [0, 6].
-  // The λ grid below is the paper's 7-point geometric grid rescaled into the
-  // stable (0, 1) band of the MSE-normalised objective (see DESIGN.md).
+  // The λ grid below is the paper's 7-point geometric grid rescaled into
+  // (0, 1): J and K are both MSEs here, so J − λ·K is unbounded below once
+  // λ >= 1 (EnsembleConfig::diversity_cap_ratio).
   std::vector<int64_t> windows = {4, 8, 16, 32, 64, 128, 256};
   std::vector<float> betas = {0.1f, 0.2f, 0.3f, 0.4f, 0.5f,
                               0.6f, 0.7f, 0.8f, 0.9f};

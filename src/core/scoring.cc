@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.h"
 #include "tensor/tensor_ops.h"
 
 namespace caee {
@@ -103,21 +102,14 @@ std::vector<double> MedianAcrossModels(
   for (const auto& s : per_model_scores) {
     CAEE_CHECK_MSG(s.size() == n, "model score streams differ in length");
   }
-  // Each observation's median is independent work writing its own slot, so
-  // the aggregation parallelises without changing results.
   std::vector<double> out(n);
-  ParallelForRange(
-      n,
-      [&](size_t begin, size_t end) {
-        std::vector<double> column(per_model_scores.size());
-        for (size_t i = begin; i < end; ++i) {
-          for (size_t m = 0; m < per_model_scores.size(); ++m) {
-            column[m] = per_model_scores[m][i];
-          }
-          out[i] = Median(column);
-        }
-      },
-      /*min_chunk=*/512);
+  std::vector<double> column(per_model_scores.size());
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t m = 0; m < per_model_scores.size(); ++m) {
+      column[m] = per_model_scores[m][i];
+    }
+    out[i] = MedianInPlace(column.data(), column.size());
+  }
   return out;
 }
 

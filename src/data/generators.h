@@ -1,6 +1,8 @@
 // Synthetic multivariate time-series generators, one profile per dataset the
-// paper evaluates on (ECG, SMD, MSL, SMAP, WADI). See DESIGN.md Sec. 2 for
-// the substitution rationale. Each profile matches the original's
+// paper evaluates on (ECG, SMD, MSL, SMAP, WADI). The real datasets are not
+// shipped with this repository; the stand-ins let every test, bench and CI
+// run work offline and deterministically, and real data comes in through
+// ts::ReadCsv (caee_train --input). Each profile matches the original's
 // dimensionality, outlier ratio, anomaly style, and train/test protocol;
 // lengths are scaled to laptop CPU budgets via the `scale` parameter.
 

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "kernels/conv1d.h"
 #include "kernels/gemm.h"
 #include "kernels/scratch.h"
@@ -106,36 +105,25 @@ void RunConv(const ConvStep& conv, const float* in, int64_t b, int64_t w,
 }
 
 // ops::BatchedMatMul(a, b, false, true): a (bs, n, k) * b (bs, m, k)^T ->
-// c (bs, n, m). Same per-batch PackTranspose-into-scratch + SgemmSerial,
-// same ParallelFor partitioning (batch elements only).
+// c (bs, n, m). Same per-batch PackTranspose-into-scratch + Sgemm.
 void BatchedMatMulTransB(const float* a, const float* b, int64_t bs,
                          int64_t n, int64_t k, int64_t m, float* c) {
-  ParallelFor(
-      static_cast<size_t>(bs),
-      [&](size_t batch) {
-        const float* pa = a + static_cast<int64_t>(batch) * n * k;
-        const float* pb = b + static_cast<int64_t>(batch) * m * k;
-        float* pc = c + static_cast<int64_t>(batch) * n * m;
-        float* packed = kernels::Scratch(kernels::kScratchStage,
-                                         static_cast<size_t>(m * k));
-        kernels::PackTranspose(pb, m, k, k, packed);
-        kernels::SgemmSerial(n, m, k, pa, k, packed, m, pc, m);
-      },
-      /*grain=*/1);
+  float* packed =
+      kernels::Scratch(kernels::kScratchStage, static_cast<size_t>(m * k));
+  for (int64_t batch = 0; batch < bs; ++batch) {
+    kernels::PackTranspose(b + batch * m * k, m, k, k, packed);
+    kernels::Sgemm(n, m, k, a + batch * n * k, k, packed, m, c + batch * n * m,
+                   m);
+  }
 }
 
 // ops::BatchedMatMul(a, b, false, false): a (bs, n, k) * b (bs, k, m).
 void BatchedMatMulPlain(const float* a, const float* b, int64_t bs, int64_t n,
                         int64_t k, int64_t m, float* c) {
-  ParallelFor(
-      static_cast<size_t>(bs),
-      [&](size_t batch) {
-        const float* pa = a + static_cast<int64_t>(batch) * n * k;
-        const float* pb = b + static_cast<int64_t>(batch) * k * m;
-        float* pc = c + static_cast<int64_t>(batch) * n * m;
-        kernels::SgemmSerial(n, m, k, pa, k, pb, m, pc, m);
-      },
-      /*grain=*/1);
+  for (int64_t batch = 0; batch < bs; ++batch) {
+    kernels::Sgemm(n, m, k, a + batch * n * k, k, b + batch * k * m, m,
+                   c + batch * n * m, m);
+  }
 }
 
 // ops::Transpose2D of a (rows, cols) weight into a plan-owned tensor.

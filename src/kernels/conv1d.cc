@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/thread_pool.h"
 #include "kernels/gemm.h"
 #include "kernels/scratch.h"
 
@@ -13,60 +12,50 @@ namespace kernels {
 void Im2Col(const float* x, int64_t b, int64_t in_w, int64_t cin, int64_t k,
             int64_t pad_left, int64_t out_w, float* col) {
   const int64_t row_len = k * cin;
-  const size_t rows = static_cast<size_t>(b * out_w);
+  const int64_t rows = b * out_w;
   // For a fixed output position t the k patch rows are CONSECUTIVE time
   // steps of x, so each col row is one contiguous memcpy clipped against
   // the padding, plus zero fill at the clipped ends.
-  ParallelForRange(
-      rows,
-      [&](size_t begin, size_t end) {
-        for (size_t r = begin; r < end; ++r) {
-          const int64_t bb = static_cast<int64_t>(r) / out_w;
-          const int64_t t = static_cast<int64_t>(r) % out_w;
-          float* dst = col + static_cast<int64_t>(r) * row_len;
-          const int64_t start = t - pad_left;  // first source time step
-          const int64_t lo = std::max<int64_t>(start, 0);
-          const int64_t hi = std::min<int64_t>(start + k, in_w);
-          const int64_t copy = std::max<int64_t>(hi - lo, 0);
-          const int64_t front = copy > 0 ? (lo - start) : k;
-          std::memset(dst, 0, static_cast<size_t>(front * cin) * sizeof(float));
-          if (copy > 0) {
-            std::memcpy(dst + front * cin, x + (bb * in_w + lo) * cin,
-                        static_cast<size_t>(copy * cin) * sizeof(float));
-            const int64_t back = k - front - copy;
-            std::memset(dst + (front + copy) * cin, 0,
-                        static_cast<size_t>(back * cin) * sizeof(float));
-          }
-        }
-      },
-      /*min_chunk=*/32);
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t bb = r / out_w;
+    const int64_t t = r % out_w;
+    float* dst = col + r * row_len;
+    const int64_t start = t - pad_left;  // first source time step
+    const int64_t lo = std::max<int64_t>(start, 0);
+    const int64_t hi = std::min<int64_t>(start + k, in_w);
+    const int64_t copy = std::max<int64_t>(hi - lo, 0);
+    const int64_t front = copy > 0 ? (lo - start) : k;
+    std::memset(dst, 0, static_cast<size_t>(front * cin) * sizeof(float));
+    if (copy > 0) {
+      std::memcpy(dst + front * cin, x + (bb * in_w + lo) * cin,
+                  static_cast<size_t>(copy * cin) * sizeof(float));
+      const int64_t back = k - front - copy;
+      std::memset(dst + (front + copy) * cin, 0,
+                  static_cast<size_t>(back * cin) * sizeof(float));
+    }
+  }
 }
 
 void Col2ImAdd(const float* col, int64_t b, int64_t in_w, int64_t cin,
                int64_t k, int64_t pad_left, int64_t out_w, float* dx) {
   const int64_t row_len = k * cin;
-  // Parallel over batch elements only: each owns a disjoint (in_w, cin)
-  // slice of dx and accumulates its contributions in fixed (t, k) order, so
-  // results are bitwise independent of the thread count.
-  ParallelFor(
-      static_cast<size_t>(b),
-      [&](size_t batch) {
-        const int64_t bb = static_cast<int64_t>(batch);
-        float* dxb = dx + bb * in_w * cin;
-        const float* colb = col + bb * out_w * row_len;
-        for (int64_t t = 0; t < out_w; ++t) {
-          const float* crow = colb + t * row_len;
-          const int64_t start = t - pad_left;
-          const int64_t lo = std::max<int64_t>(start, 0);
-          const int64_t hi = std::min<int64_t>(start + k, in_w);
-          for (int64_t src = lo; src < hi; ++src) {
-            const float* cchunk = crow + (src - start) * cin;
-            float* dxrow = dxb + src * cin;
-            for (int64_t ci = 0; ci < cin; ++ci) dxrow[ci] += cchunk[ci];
-          }
-        }
-      },
-      /*grain=*/1);
+  // Each batch element owns a disjoint (in_w, cin) slice of dx and
+  // accumulates its contributions in fixed (t, k) order.
+  for (int64_t bb = 0; bb < b; ++bb) {
+    float* dxb = dx + bb * in_w * cin;
+    const float* colb = col + bb * out_w * row_len;
+    for (int64_t t = 0; t < out_w; ++t) {
+      const float* crow = colb + t * row_len;
+      const int64_t start = t - pad_left;
+      const int64_t lo = std::max<int64_t>(start, 0);
+      const int64_t hi = std::min<int64_t>(start + k, in_w);
+      for (int64_t src = lo; src < hi; ++src) {
+        const float* cchunk = crow + (src - start) * cin;
+        float* dxrow = dxb + src * cin;
+        for (int64_t ci = 0; ci < cin; ++ci) dxrow[ci] += cchunk[ci];
+      }
+    }
+  }
 }
 
 void Conv1dForward(const float* x, const float* w, const float* bias,
@@ -85,15 +74,10 @@ void Conv1dForward(const float* x, const float* w, const float* bias,
   PackTranspose(w, cout, row_len, row_len, wt);
   Sgemm(rows, cout, row_len, col, row_len, wt, cout, y, cout,
         /*accumulate=*/false);
-  ParallelForRange(
-      static_cast<size_t>(rows),
-      [&](size_t begin, size_t end) {
-        for (size_t r = begin; r < end; ++r) {
-          float* yrow = y + static_cast<int64_t>(r) * cout;
-          for (int64_t co = 0; co < cout; ++co) yrow[co] += bias[co];
-        }
-      },
-      /*min_chunk=*/64);
+  for (int64_t r = 0; r < rows; ++r) {
+    float* yrow = y + r * cout;
+    for (int64_t co = 0; co < cout; ++co) yrow[co] += bias[co];
+  }
 }
 
 void Conv1dBackwardInput(const float* dy, const float* w, float* dx,

@@ -17,9 +17,9 @@
 // from the per-thread pool in scratch.h, so steady-state calls are
 // allocation-free.
 //
-// Determinism: GEMM inherits the Sgemm contract (thread-count-invariant);
-// the col2im scatter-add is parallel over batch elements only, each of
-// which owns a disjoint slice of dX and accumulates in fixed (t, k) order.
+// Determinism: every pass runs on its caller's thread. The GEMMs inherit
+// the Sgemm contract; the col2im scatter-add accumulates each batch
+// element's disjoint slice of dX in fixed (t, k) order.
 
 #ifndef CAEE_KERNELS_CONV1D_H_
 #define CAEE_KERNELS_CONV1D_H_

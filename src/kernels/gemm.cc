@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/thread_pool.h"
 #include "kernels/scratch.h"
 #include "kernels/simd.h"
 
@@ -85,9 +84,9 @@ inline void SgemmNarrow(int64_t m, int64_t n, int64_t k, const float* a,
 }  // namespace
 
 CAEE_MULTIVERSION
-void SgemmSerial(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
-                 const float* b, int64_t ldb, float* c, int64_t ldc,
-                 bool accumulate) {
+void Sgemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+           const float* b, int64_t ldb, float* c, int64_t ldc,
+           bool accumulate) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     if (!accumulate) {
@@ -118,23 +117,6 @@ void SgemmSerial(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
       }
     }
   }
-}
-
-void Sgemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
-           const float* b, int64_t ldb, float* c, int64_t ldc,
-           bool accumulate) {
-  if (m <= 0) return;
-  // Partition rows of C; each output element is produced entirely inside one
-  // chunk (each worker packs its own panel copy), so chunk boundaries — and
-  // hence the thread count — cannot change the floating-point result.
-  ParallelForRange(
-      static_cast<size_t>(m),
-      [&](size_t begin, size_t end) {
-        SgemmSerial(static_cast<int64_t>(end - begin), n, k,
-                    a + static_cast<int64_t>(begin) * lda, lda, b, ldb,
-                    c + static_cast<int64_t>(begin) * ldc, ldc, accumulate);
-      },
-      /*min_chunk=*/16);
 }
 
 void PackTranspose(const float* src, int64_t rows, int64_t cols, int64_t ld,

@@ -13,13 +13,12 @@
 // the panel.
 //
 // Determinism contract (load-bearing for the ensemble's bit-reproducibility
-// guarantee): every output element is accumulated by exactly one thread, in
-// ascending-k order within fixed kGemmKc panels — the same order the naive
-// loops used. The blocking constants do not depend on the thread count,
-// column blocking never reassociates (it only groups independent outputs),
-// and parallelism only partitions rows of C, so results are bitwise
-// identical at any `num_threads` — the property the parallel/streaming
-// identity tests assert end to end.
+// guarantee): the call runs on its caller's thread, and every output
+// element is accumulated in ascending-k order within fixed kGemmKc panels
+// — the same order the naive loops used. The blocking constants are fixed,
+// and column blocking never reassociates (it only groups independent
+// outputs), so an output row's result depends on nothing but its own
+// inputs: not on m, the thread count, or which other rows share the call.
 
 #ifndef CAEE_KERNELS_GEMM_H_
 #define CAEE_KERNELS_GEMM_H_
@@ -44,17 +43,11 @@ inline constexpr int64_t kGemmKc = 256;
 /// \brief C (m x n, leading dim ldc) = A (m x k, lda) * B (k x n, ldb), all
 /// row-major, no transposes (callers pack transposed operands first; see
 /// PackTranspose). When `accumulate` is true, adds into C instead of
-/// overwriting it. Parallel over rows of C; bitwise thread-count-invariant.
+/// overwriting it. Runs on the calling thread and uses its
+/// kScratchGemmPanel slot for the packed panel.
 void Sgemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
            const float* b, int64_t ldb, float* c, int64_t ldc,
            bool accumulate = false);
-
-/// \brief Serial Sgemm (same numerics; used per-batch by BatchedMatMul and
-/// by callers already running inside a pool worker). Uses the calling
-/// thread's kScratchGemmPanel slot for the packed panel.
-void SgemmSerial(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
-                 const float* b, int64_t ldb, float* c, int64_t ldc,
-                 bool accumulate = false);
 
 /// \brief dst (cols x rows, dense) = transpose of src (rows x cols, leading
 /// dim ld). Cache-blocked. Used to canonicalise transposed GEMM operands

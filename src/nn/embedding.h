@@ -3,8 +3,9 @@
 // plus position embedding
 //   p_t = f_t(W_p t + b_p)
 // summed into the convolutional input x_t = v_t + p_t. Positions are fed as
-// normalised scalars t/w (see DESIGN.md interpretations) to keep the linear
-// layer well-scaled.
+// normalised scalars t/w (t = 1..w): a raw index would grow with the window
+// (up to 256 on the hyperparameter grid) and swamp the z-scored
+// observations in the sum, while t/w stays in (0, 1] at any w.
 
 #ifndef CAEE_NN_EMBEDDING_H_
 #define CAEE_NN_EMBEDDING_H_

@@ -224,14 +224,17 @@ Status EngineShard::OpenStream(int64_t stream_id,
     sessions_.emplace_back();
     rings_.resize(rings_.size() + ring_stride_);
     policies_.push_back(0);
-    if (gen_->spot != nullptr) {
-      spot_tails_.emplace_back();
-      spot_peaks_.resize(spot_peaks_.size() + spot_stride_);
-    }
   }
   sessions_[slot] = PackedSession{};  // recycled slots start cold
   policies_[slot] = static_cast<uint8_t>(policy);
   if (policy == core::ThresholdPolicy::kSpot) {
+    // Only kSpot sessions read SPOT state, so the slabs grow to cover a
+    // slot when the first kSpot session opens in it: an all-static engine
+    // carries none.
+    if (spot_tails_.size() <= slot) {
+      spot_tails_.resize(slot + 1);
+      spot_peaks_.resize(spot_tails_.size() * spot_stride_);
+    }
     // A fresh (or recycled) session restarts SPOT from the calibrated
     // init, matching the cold window ring.
     core::SpotSeedTail(*gen_->spot, &spot_tails_[slot], SpotPeaksOf(slot));

@@ -292,8 +292,9 @@ class EngineShard {
   std::vector<float> rings_;             // session ring slab
   std::vector<uint32_t> free_slots_;     // slots of closed streams
   // Per-session threshold policy + SPOT state, slot-parallel to sessions_.
-  // The SPOT vectors stay empty on non-SPOT-capable shards, so a static
-  // deployment pays one policy byte per stream and nothing else.
+  // The SPOT vectors only reach as far as the highest slot a kSpot session
+  // has opened in, so static sessions pay one policy byte each and nothing
+  // else, whatever the generation carries.
   std::vector<uint8_t> policies_;          // core::ThresholdPolicy per slot
   std::vector<core::SpotTail> spot_tails_;
   std::vector<double> spot_peaks_;         // peak-ring slab

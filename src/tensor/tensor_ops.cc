@@ -5,7 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "kernels/conv1d.h"
 #include "kernels/gemm.h"
 #include "kernels/scratch.h"
@@ -244,32 +243,29 @@ Tensor BatchedMatMul(const Tensor& a, const Tensor& b, bool trans_a,
   const int64_t b_stride = b.dim(1) * b.dim(2);
   const int64_t o_stride = n * m;
 
-  // Parallel over batch elements; transposed operands are packed into the
-  // executing thread's scratch, so concurrent batches never share buffers.
-  ParallelFor(
-      static_cast<size_t>(bs),
-      [&](size_t batch) {
-        const float* pa = a.data() + static_cast<int64_t>(batch) * a_stride;
-        const float* pb = b.data() + static_cast<int64_t>(batch) * b_stride;
-        float* po = out.data() + static_cast<int64_t>(batch) * o_stride;
-        int64_t lda = a.dim(2), ldb = b.dim(2);
-        if (trans_a) {
-          float* packed = kernels::Scratch(kernels::kScratchPack,
-                                           static_cast<size_t>(a_stride));
-          kernels::PackTranspose(pa, a.dim(1), a.dim(2), a.dim(2), packed);
-          pa = packed;
-          lda = a.dim(1);
-        }
-        if (trans_b) {
-          float* packed = kernels::Scratch(kernels::kScratchStage,
-                                           static_cast<size_t>(b_stride));
-          kernels::PackTranspose(pb, b.dim(1), b.dim(2), b.dim(2), packed);
-          pb = packed;
-          ldb = b.dim(1);
-        }
-        kernels::SgemmSerial(n, m, k, pa, lda, pb, ldb, po, m);
-      },
-      /*grain=*/1);
+  // Transposed operands are packed into the calling thread's scratch, one
+  // batch element at a time.
+  for (int64_t batch = 0; batch < bs; ++batch) {
+    const float* pa = a.data() + batch * a_stride;
+    const float* pb = b.data() + batch * b_stride;
+    float* po = out.data() + batch * o_stride;
+    int64_t lda = a.dim(2), ldb = b.dim(2);
+    if (trans_a) {
+      float* packed = kernels::Scratch(kernels::kScratchPack,
+                                       static_cast<size_t>(a_stride));
+      kernels::PackTranspose(pa, a.dim(1), a.dim(2), a.dim(2), packed);
+      pa = packed;
+      lda = a.dim(1);
+    }
+    if (trans_b) {
+      float* packed = kernels::Scratch(kernels::kScratchStage,
+                                       static_cast<size_t>(b_stride));
+      kernels::PackTranspose(pb, b.dim(1), b.dim(2), b.dim(2), packed);
+      pb = packed;
+      ldb = b.dim(1);
+    }
+    kernels::Sgemm(n, m, k, pa, lda, pb, ldb, po, m);
+  }
   return out;
 }
 
@@ -421,19 +417,16 @@ std::vector<double> SquaredErrorPerPosition(const Tensor& x, const Tensor& y) {
   std::vector<double> out(static_cast<size_t>(b * w));
   const float* px = x.data();
   const float* py = y.data();
-  auto body = [&](size_t begin, size_t end) {
-    for (size_t row = begin; row < end; ++row) {
-      const float* xr = px + static_cast<int64_t>(row) * d;
-      const float* yr = py + static_cast<int64_t>(row) * d;
-      double acc = 0.0;
-      for (int64_t j = 0; j < d; ++j) {
-        const double diff = static_cast<double>(xr[j]) - yr[j];
-        acc += diff * diff;
-      }
-      out[row] = acc;
+  for (int64_t row = 0; row < b * w; ++row) {
+    const float* xr = px + row * d;
+    const float* yr = py + row * d;
+    double acc = 0.0;
+    for (int64_t j = 0; j < d; ++j) {
+      const double diff = static_cast<double>(xr[j]) - yr[j];
+      acc += diff * diff;
     }
-  };
-  ParallelForRange(static_cast<size_t>(b * w), body, /*min_chunk=*/64);
+    out[static_cast<size_t>(row)] = acc;
+  }
   return out;
 }
 

@@ -1,11 +1,16 @@
-// Bit-reproducibility and clean-shutdown guarantees of the parallel
-// execution engine (core/parallel_trainer.h): anomaly scores must be
-// bitwise identical at any thread count, and the thread pool must shut
-// down cleanly (verified under ASan in CI). Policy reference:
-// docs/numeric-contract.md.
+// Bit-reproducibility and clean-shutdown guarantees of the ensemble's
+// fan-out (core/ensemble.h over common/thread_pool.h): anomaly scores must
+// be bitwise identical at any thread count, concurrent fan-outs must not
+// wait on each other, and the thread pool must shut down cleanly (verified
+// under ASan and TSan in CI). Policy reference: docs/numeric-contract.md.
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <future>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,7 +18,6 @@
 
 #include "common/thread_pool.h"
 #include "core/ensemble.h"
-#include "core/parallel_trainer.h"
 #include "test_util.h"
 
 namespace caee {
@@ -122,6 +126,37 @@ TEST(ParallelEnsembleTest, ScoreWindowLastBitwiseIdentical) {
   }
 }
 
+TEST(ParallelEnsembleTest, OverlappedFrozenPassBitwiseIdentical) {
+  // In the generation chain each member's frozen-model output pass runs on
+  // the pool while the next member trains and reads the sums batch by
+  // batch. The next member may read them in every epoch, in the first
+  // only, or never (then passes are only joined by the next pass and the
+  // end of Fit); each member's scores must match the inline pass at one
+  // thread either way.
+  const ts::TimeSeries series = MakeSeries();
+  for (const float fraction : {1.0f, 0.5f, 0.0f}) {
+    core::EnsembleConfig seq = SmallConfig(1);
+    seq.num_models = 5;
+    seq.diversity_epoch_fraction = fraction;
+    core::EnsembleConfig par = seq;
+    par.num_threads = 4;
+    core::CaeEnsemble a(seq);
+    core::CaeEnsemble b(par);
+    ASSERT_TRUE(a.Fit(series).ok());
+    ASSERT_TRUE(b.Fit(series).ok());
+    auto a_scores = a.PerModelScores(series);
+    auto b_scores = b.PerModelScores(series);
+    ASSERT_TRUE(a_scores.ok());
+    ASSERT_TRUE(b_scores.ok());
+    ASSERT_EQ(a_scores->size(), b_scores->size());
+    for (size_t mi = 0; mi < a_scores->size(); ++mi) {
+      SCOPED_TRACE("fraction " + std::to_string(fraction) + " member " +
+                   std::to_string(mi));
+      ExpectBitwiseEqual((*a_scores)[mi], (*b_scores)[mi]);
+    }
+  }
+}
+
 TEST(ParallelEnsembleTest, DiversityAndReconErrorIdentical) {
   const ts::TimeSeries series = MakeSeries();
   core::CaeEnsemble seq(SmallConfig(1));
@@ -134,38 +169,78 @@ TEST(ParallelEnsembleTest, DiversityAndReconErrorIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelTrainer mechanics.
+// ParallelFor mechanics at the ensemble's grain (one item per task).
 // ---------------------------------------------------------------------------
 
-TEST(ParallelTrainerTest, RunCoversEveryIndexExactlyOnce) {
-  core::ParallelTrainer trainer(4);
+TEST(ParallelForTest, CoversEveryIndexExactlyOnceAtGrainOne) {
   std::vector<std::atomic<int>> hits(257);
   for (auto& h : hits) h = 0;
-  trainer.Run(hits.size(), [&](size_t i) { ++hits[i]; });
+  ParallelFor(hits.size(), [&](size_t i) { ++hits[i]; }, /*grain=*/1,
+              /*max_threads=*/4);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ParallelTrainerTest, GridCoversAllPairs) {
-  core::ParallelTrainer trainer(3);
-  std::vector<std::atomic<int>> hits(5 * 7);
-  for (auto& h : hits) h = 0;
-  trainer.RunGrid(5, 7, [&](size_t r, size_t c) { ++hits[r * 7 + c]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelTrainerTest, NestedRunInsideWorkerDoesNotDeadlock) {
-  // A Run inside a pool worker must execute inline; blocking in Wait()
-  // on the same pool from every worker would deadlock.
-  core::ParallelTrainer trainer(4);
+TEST(ParallelForTest, NestedLoopInsideWorkerDoesNotDeadlock) {
+  // A ParallelFor inside a pool worker must execute inline; blocking on
+  // the same pool from every worker would deadlock.
   std::atomic<int> total{0};
-  trainer.Run(8, [&](size_t) {
-    core::ParallelTrainer inner(4);
-    inner.Run(8, [&](size_t) { ++total; });
-  });
+  ParallelFor(
+      8,
+      [&](size_t) {
+        ParallelFor(8, [&](size_t) { ++total; }, /*grain=*/1,
+                    /*max_threads=*/4);
+      },
+      /*grain=*/1, /*max_threads=*/4);
   EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ParallelTrainerTest, ForkedStreamsAreConsumptionOrderIndependent) {
+TEST(ParallelForTest, ConcurrentFanOutsWaitOnlyForTheirOwnChunks) {
+  // Two callers share the global pool, as the serving engine's request
+  // thread and deadline flusher do when they score different shards.
+  // Caller A's fan-out holds one chunk blocked; caller B's fan-out must
+  // still return once its own two chunks are done, not when the whole
+  // pool goes idle. The wait is bounded so a regression fails instead of
+  // hanging.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool a_blocked = false;
+  bool release = false;
+  std::thread a([&] {
+    ParallelFor(
+        2,
+        [&](size_t i) {
+          if (i != 0) return;
+          std::unique_lock<std::mutex> lock(mu);
+          a_blocked = true;
+          cv.notify_all();
+          cv.wait(lock, [&] { return release; });
+        },
+        /*grain=*/1, /*max_threads=*/2);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return a_blocked; }));
+  }
+  std::promise<void> b_done;
+  std::thread b([&] {
+    ParallelFor(2, [](size_t) {}, /*grain=*/1, /*max_threads=*/2);
+    b_done.set_value();
+  });
+  const std::future_status status =
+      b_done.get_future().wait_for(std::chrono::seconds(5));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  a.join();
+  b.join();
+  EXPECT_EQ(status, std::future_status::ready)
+      << "a fan-out waited for another caller's blocked chunk";
+}
+
+TEST(MemberRngStreamsTest, ForkedStreamsAreConsumptionOrderIndependent) {
   // The bit-reproducibility contract relies on pre-forked streams being
   // independent state machines: what a member draws must not depend on
   // when sibling members draw. Consume one set forward and the other
@@ -184,48 +259,21 @@ TEST(ParallelTrainerTest, ForkedStreamsAreConsumptionOrderIndependent) {
   EXPECT_EQ(va, vb);
 }
 
-TEST(ParallelismCapTest, CapOneForcesInlineExecution) {
-  // Under a cap of 1, even a large would-be-parallel loop must run on the
-  // calling thread — this is what makes EnsembleConfig::num_threads == 1
-  // fully sequential, kernels included.
-  ParallelismCap cap(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> off_thread{0};
-  ParallelFor(
-      1024,
-      [&](size_t) {
-        if (std::this_thread::get_id() != caller) ++off_thread;
-      },
-      /*grain=*/1);
-  EXPECT_EQ(off_thread.load(), 0);
-}
-
-TEST(ParallelismCapTest, NestedCapsOnlyNarrow) {
-  ParallelismCap outer(2);
-  EXPECT_EQ(ParallelismCap::Current(), 2u);
-  {
-    ParallelismCap wider(8);  // must not widen the outer cap
-    EXPECT_EQ(ParallelismCap::Current(), 2u);
-    ParallelismCap narrower(1);
-    EXPECT_EQ(ParallelismCap::Current(), 1u);
-  }
-  EXPECT_EQ(ParallelismCap::Current(), 2u);
-}
-
 // ---------------------------------------------------------------------------
 // ThreadPool lifecycle (run under ASan in CI to catch leaks and races).
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPoolShutdownTest, DestructionAfterWorkIsClean) {
   for (int round = 0; round < 8; ++round) {
-    ThreadPool pool(4);
     std::atomic<int> done{0};
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&done] { ++done; });
+    {
+      ThreadPool pool(4);
+      for (int i = 0; i < 64; ++i) {
+        pool.Submit([&done] { ++done; });
+      }
+      // Destructor joins all workers here; ASan flags any leak or race.
     }
-    pool.Wait();
     EXPECT_EQ(done.load(), 64);
-    // Destructor joins all workers here; ASan flags any leak or race.
   }
 }
 
@@ -236,8 +284,8 @@ TEST(ThreadPoolShutdownTest, DestructionWithQueuedWorkDrainsQueue) {
     for (int i = 0; i < 32; ++i) {
       pool.Submit([&done] { ++done; });
     }
-    // No Wait(): the destructor must still drain queued tasks before
-    // joining (WorkerLoop only exits once the queue is empty).
+    // The destructor must drain queued tasks before joining (WorkerLoop
+    // only exits once the queue is empty).
   }
   EXPECT_EQ(done.load(), 32);
 }

@@ -1,5 +1,5 @@
 // Property-based sweeps: invariants that must hold across a grid of shapes,
-// seeds, and configurations (TEST_P suites per DESIGN.md testing strategy).
+// seeds, and configurations (parameterised TEST_P suites).
 
 #include <cmath>
 

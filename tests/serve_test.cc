@@ -603,7 +603,9 @@ TEST_F(ServeTest, AggregateCountersAndMemoryAccountingSpanShards) {
     struct Bytes {
       size_t empty, idle;
     };
-    auto measure = [&](bool with_spot, bool with_health) {
+    auto measure = [&](bool with_spot, bool with_health,
+                       core::ThresholdPolicy policy =
+                           core::ThresholdPolicy::kStatic) {
       serve::ServeConfig c = config;
       c.health.enabled = with_health;
       serve::ServingEngine engine(
@@ -614,7 +616,7 @@ TEST_F(ServeTest, AggregateCountersAndMemoryAccountingSpanShards) {
       Bytes bytes{engine.MemoryBytes(), 0};
       std::vector<serve::StreamScore> results;
       for (int64_t id : ids) {
-        CAEE_CHECK(engine.OpenStream(id).ok());
+        CAEE_CHECK(engine.OpenStream(id, policy).ok());
         for (size_t t = 0; t + 1 < w; ++t) {
           CAEE_CHECK(engine.Push(id, Row(series, t), &results).ok());
         }
@@ -625,6 +627,8 @@ TEST_F(ServeTest, AggregateCountersAndMemoryAccountingSpanShards) {
     };
     const Bytes plain = measure(false, false);
     const Bytes spot_capable = measure(true, false);
+    const Bytes spot_sessions =
+        measure(true, false, core::ThresholdPolicy::kSpot);
     const Bytes health_on = measure(false, true);
 
     serve::StreamIndex index;
@@ -636,7 +640,11 @@ TEST_F(ServeTest, AggregateCountersAndMemoryAccountingSpanShards) {
               slots * (w * dims * sizeof(float) + 16 + 1) +
                   shards * index.MemoryBytes())
         << "shards " << shards;
-    EXPECT_EQ(spot_capable.idle - plain.idle,
+    // SPOT state is carried by kSpot sessions only: static sessions on a
+    // SPOT-capable engine pay for the drift ring and nothing per stream.
+    EXPECT_EQ(spot_capable.idle - plain.idle, shards * serve::kDriftWindow)
+        << "shards " << shards;
+    EXPECT_EQ(spot_sessions.idle - plain.idle,
               slots * core::SpotBytesPerStream(spot.config) +
                   shards * serve::kDriftWindow)
         << "shards " << shards;
